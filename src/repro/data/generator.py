@@ -31,6 +31,7 @@ from repro.apilog.source_sample import SourceSample
 from repro.config import CLASS_CLEAN, CLASS_MALWARE, ScaleProfile, default_profile
 from repro.data.dataset import Dataset
 from repro.exceptions import DatasetError
+from repro.features.extraction import CountExtractor
 from repro.features.pipeline import FeaturePipeline
 from repro.utils.rng import SeedSequence
 
@@ -134,18 +135,14 @@ class CorpusGenerator:
     def _raw_counts_for(self, samples: Sequence[SourceSample], source: str,
                         rng: np.random.Generator) -> Tuple[np.ndarray, List[str]]:
         weights = _TRAIN_OS_WEIGHTS if source == "train" else _TEST_OS_WEIGHTS
-        from repro.features.extraction import CountExtractor
-
-        extractor = CountExtractor(self.catalog)
-        rows = np.zeros((len(samples), len(self.catalog)), dtype=np.float64)
         os_versions: List[str] = []
-        for index, sample in enumerate(samples):
+        counts: List[Dict[str, int]] = []
+        for sample in samples:
             os_version = self._draw_os(rng, weights)
             os_versions.append(os_version)
             sandbox = Sandbox(os_version=os_version, random_state=rng, record_args=False)
-            counts = sandbox.execute_counts(sample, rng=rng)
-            rows[index] = extractor.extract(counts)
-        return rows, os_versions
+            counts.append(sandbox.execute_counts(sample, rng=rng))
+        return CountExtractor(self.catalog).extract_batch(counts), os_versions
 
     def _build_split(self, n_clean: int, n_malware: int, source: str, name: str,
                      pipeline: Optional[FeaturePipeline]) -> Tuple[Dataset, np.ndarray]:

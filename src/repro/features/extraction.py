@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -12,6 +14,36 @@ from repro.exceptions import ShapeError
 
 CountSource = Union[ApiLog, Mapping[str, int]]
 
+#: Raw spellings the column lookup may hold, per catalog entry (the
+#: lower-cased catalog names themselves included).
+SPELLINGS_PER_API = 4
+
+_api_of = attrgetter("api")
+
+
+class _ColumnLookup(dict):
+    """Raw API spelling → feature column; unmonitored names → the sink.
+
+    Hits are a plain C-level ``dict`` lookup.  A miss resolves the name
+    against the (case-insensitive) catalog and stores the raw spelling while
+    the lookup holds fewer than ``bound`` entries; past the bound the column
+    is returned without being stored, so hostile logs cannot grow it.
+    """
+
+    __slots__ = ("catalog", "sink", "bound")
+
+    def __init__(self, catalog: ApiCatalog) -> None:
+        super().__init__((name, column) for column, name in enumerate(catalog.names))
+        self.catalog = catalog
+        self.sink = len(catalog)
+        self.bound = SPELLINGS_PER_API * len(catalog)
+
+    def __missing__(self, name: str) -> int:
+        column = self.catalog.index_of(name) if name in self.catalog else self.sink
+        if len(self) < self.bound:
+            self[name] = column
+        return column
+
 
 class CountExtractor:
     """Turn an API log (or a pre-aggregated count mapping) into a count vector.
@@ -19,6 +51,16 @@ class CountExtractor:
     Only APIs present in the monitored catalog contribute; every other call
     is ignored, exactly as an instrumentation-based monitor only records the
     hooked APIs.
+
+    Extraction is bulk: :meth:`extract_batch` maps every API call of every
+    log through one raw-name → column lookup and counts the whole batch with
+    one ``np.bincount`` (mappings contribute their counts as weights).  The
+    lookup is seeded with the catalog's lower-cased names; an unmonitored
+    name maps to a sink column ``n_features`` that is dropped from the
+    result.  A raw spelling missing from the lookup is resolved
+    case-insensitively and stored only while the lookup holds fewer than
+    ``SPELLINGS_PER_API × n_features`` entries; past that bound it is
+    resolved with ``lower()`` on every call and not stored.
 
     Parameters
     ----------
@@ -28,6 +70,7 @@ class CountExtractor:
 
     def __init__(self, catalog: ApiCatalog | None = None) -> None:
         self.catalog = catalog if catalog is not None else default_catalog()
+        self._columns = _ColumnLookup(self.catalog)
 
     @property
     def n_features(self) -> int:
@@ -45,15 +88,7 @@ class CountExtractor:
 
     def extract(self, source: CountSource) -> np.ndarray:
         """Extract a single raw-count vector of shape ``(n_features,)``."""
-        counts = self._counts_of(source)
-        vector = np.zeros(self.n_features, dtype=np.float64)
-        for api, count in counts.items():
-            if count < 0:
-                raise ShapeError(f"negative count for API {api!r}")
-            key = api.lower()
-            if self.catalog.monitored(key):
-                vector[self.catalog.index_of(key)] += count
-        return vector
+        return self.extract_batch([source])[0]
 
     def extract_batch(self, sources: Iterable[CountSource]) -> np.ndarray:
         """Extract a matrix of raw counts, one row per source.
@@ -63,10 +98,41 @@ class CountExtractor:
         Likewise a log whose APIs are all unmonitored extracts to an all-zero
         row rather than an error (the detector simply observes nothing).
         """
-        rows = [self.extract(source) for source in sources]
-        if not rows:
-            return np.zeros((0, self.n_features), dtype=np.float64)
-        return np.vstack(rows)
+        column_of = self._columns.__getitem__
+        columns: List[Iterable[int]] = []
+        lengths: List[int] = []
+        weighted: List[Tuple[int, np.ndarray]] = []
+        n_ids = 0
+        for source in sources:
+            if isinstance(source, ApiLog):
+                names = map(_api_of, source.records)
+                length = len(source.records)
+            elif isinstance(source, Mapping):
+                counts = np.fromiter(source.values(), dtype=np.float64, count=len(source))
+                if (counts < 0).any():
+                    api = list(source)[int(np.argmax(counts < 0))]
+                    raise ShapeError(f"negative count for API {api!r}")
+                weighted.append((n_ids, counts))
+                names = iter(source)
+                length = len(counts)
+            else:
+                raise ShapeError(
+                    "expected an ApiLog or a mapping of api->count, "
+                    f"got {type(source).__name__}")
+            columns.append(map(column_of, names))
+            lengths.append(length)
+            n_ids += length
+        n_rows = len(lengths)
+        width = self.n_features + 1
+        ids = np.fromiter(chain.from_iterable(columns), dtype=np.intp, count=n_ids)
+        ids += np.repeat(np.arange(n_rows, dtype=np.intp) * width, lengths)
+        weights = None
+        if weighted:
+            weights = np.ones(n_ids, dtype=np.float64)
+            for start, counts in weighted:
+                weights[start:start + len(counts)] = counts
+        raw = np.bincount(ids, weights=weights, minlength=n_rows * width)
+        return np.ascontiguousarray(raw.reshape(n_rows, width)[:, :-1], dtype=np.float64)
 
     def monitored_fraction(self, source: CountSource) -> float:
         """Fraction of the source's calls that hit monitored APIs.

@@ -6,7 +6,7 @@ import pytest
 from repro.apilog.api_catalog import build_catalog, default_catalog
 from repro.apilog.log_format import ApiLog, LogRecord
 from repro.exceptions import ConfigurationError, NotFittedError, ShapeError
-from repro.features.extraction import CountExtractor
+from repro.features.extraction import SPELLINGS_PER_API, CountExtractor
 from repro.features.pipeline import FeaturePipeline
 from repro.features.transformation import (
     BinaryTransformer,
@@ -77,6 +77,30 @@ class TestCountExtractor:
     def test_invalid_source_type_rejected(self):
         with pytest.raises(ShapeError):
             CountExtractor().extract([1, 2, 3])
+
+    def test_column_lookup_stays_bounded_under_hostile_spellings(self):
+        extractor = CountExtractor()
+        catalog = extractor.catalog
+        n = extractor.n_features
+        log = ApiLog(sample_id="hostile", os_version="win7")
+        for i in range(10 * n):
+            log.append(LogRecord(f"NotMonitored{i}", i))
+        expected = np.zeros(n)
+        for i, name in enumerate(catalog.names):
+            for variant in (name, name.upper(), name.title(), name[0] + name[1:].upper()):
+                log.append(LogRecord(variant, i))
+                expected[i] += 1
+        bound = extractor._columns.bound
+        assert bound == SPELLINGS_PER_API * n
+        vector = extractor.extract(log)
+        assert len(extractor._columns) == bound  # filled, then stopped storing
+        np.testing.assert_array_equal(vector, expected)
+        # Past the bound, misses still resolve (case-insensitively) unstored.
+        again = extractor.extract_batch([log, {"WRITEFILE": 2, "NotMonitored0": 5}])
+        assert len(extractor._columns) == bound
+        np.testing.assert_array_equal(again[0], expected)
+        assert again[1].sum() == 2
+        assert again[1][catalog.index_of("writefile")] == 2
 
 
 class TestCountTransformer:
