@@ -14,35 +14,28 @@ from repro.exceptions import ShapeError
 
 CountSource = Union[ApiLog, Mapping[str, int]]
 
-#: Raw spellings the column lookup may hold, per catalog entry (the
-#: lower-cased catalog names themselves included).
-SPELLINGS_PER_API = 4
-
 _api_of = attrgetter("api")
 
 
 class _ColumnLookup(dict):
     """Raw API spelling → feature column; unmonitored names → the sink.
 
-    Hits are a plain C-level ``dict`` lookup.  A miss resolves the name
-    against the (case-insensitive) catalog and stores the raw spelling while
-    the lookup holds fewer than ``bound`` entries; past the bound the column
-    is returned without being stored, so hostile logs cannot grow it.
+    Seeded with the catalog names that are already lower-case, so a
+    monitored call spelled as in the catalog is a plain C-level ``dict``
+    hit.  Any other spelling resolves case-insensitively against the
+    catalog and is not stored, so the lookup never grows past its seed.
     """
 
-    __slots__ = ("catalog", "sink", "bound")
+    __slots__ = ("catalog", "sink")
 
     def __init__(self, catalog: ApiCatalog) -> None:
-        super().__init__((name, column) for column, name in enumerate(catalog.names))
+        super().__init__((name, column) for column, name in enumerate(catalog.names)
+                         if name == name.lower())
         self.catalog = catalog
         self.sink = len(catalog)
-        self.bound = SPELLINGS_PER_API * len(catalog)
 
     def __missing__(self, name: str) -> int:
-        column = self.catalog.index_of(name) if name in self.catalog else self.sink
-        if len(self) < self.bound:
-            self[name] = column
-        return column
+        return self.catalog.index_of(name) if name in self.catalog else self.sink
 
 
 class CountExtractor:
@@ -55,12 +48,10 @@ class CountExtractor:
     Extraction is bulk: :meth:`extract_batch` maps every API call of every
     log through one raw-name → column lookup and counts the whole batch with
     one ``np.bincount`` (mappings contribute their counts as weights).  The
-    lookup is seeded with the catalog's lower-cased names; an unmonitored
+    lookup is seeded with the catalog's lower-case names; an unmonitored
     name maps to a sink column ``n_features`` that is dropped from the
-    result.  A raw spelling missing from the lookup is resolved
-    case-insensitively and stored only while the lookup holds fewer than
-    ``SPELLINGS_PER_API × n_features`` entries; past that bound it is
-    resolved with ``lower()`` on every call and not stored.
+    result.  Any other spelling is resolved case-insensitively on every call
+    and never stored, so hostile logs cannot grow the lookup.
 
     Parameters
     ----------

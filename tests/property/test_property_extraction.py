@@ -18,8 +18,8 @@ from repro.apilog.log_format import ApiLog, LogRecord
 from repro.exceptions import ShapeError
 from repro.features.extraction import CountExtractor
 
-# One extractor per catalog lives across examples, so the lookup's stored
-# spellings (and, on the 24-name catalog, its bound) are exercised too.
+# One extractor per catalog lives across examples, so a lookup that kept
+# state between batches would show up here.
 EXTRACTORS = {
     "default": CountExtractor(default_catalog()),
     "small": CountExtractor(build_catalog(n_features=24)),
@@ -84,7 +84,7 @@ class TestBulkExtractionProperties:
         assert got.dtype == np.float64 and got.flags["C_CONTIGUOUS"]
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        assert len(extractor._columns) <= extractor._columns.bound
+        assert len(extractor._columns) == extractor.n_features
 
     @given(source=sources, which=extractor_names)
     @settings(max_examples=100, deadline=None)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.apilog.api_catalog import build_catalog, default_catalog
+from repro.apilog.api_catalog import ApiCatalog, build_catalog, default_catalog
 from repro.apilog.log_format import ApiLog, LogRecord
 from repro.exceptions import ConfigurationError, NotFittedError, ShapeError
-from repro.features.extraction import SPELLINGS_PER_API, CountExtractor
+from repro.features.extraction import CountExtractor
 from repro.features.pipeline import FeaturePipeline
 from repro.features.transformation import (
     BinaryTransformer,
@@ -78,7 +78,7 @@ class TestCountExtractor:
         with pytest.raises(ShapeError):
             CountExtractor().extract([1, 2, 3])
 
-    def test_column_lookup_stays_bounded_under_hostile_spellings(self):
+    def test_column_lookup_does_not_grow_under_hostile_spellings(self):
         extractor = CountExtractor()
         catalog = extractor.catalog
         n = extractor.n_features
@@ -90,17 +90,23 @@ class TestCountExtractor:
             for variant in (name, name.upper(), name.title(), name[0] + name[1:].upper()):
                 log.append(LogRecord(variant, i))
                 expected[i] += 1
-        bound = extractor._columns.bound
-        assert bound == SPELLINGS_PER_API * n
-        vector = extractor.extract(log)
-        assert len(extractor._columns) == bound  # filled, then stopped storing
-        np.testing.assert_array_equal(vector, expected)
-        # Past the bound, misses still resolve (case-insensitively) unstored.
-        again = extractor.extract_batch([log, {"WRITEFILE": 2, "NotMonitored0": 5}])
-        assert len(extractor._columns) == bound
-        np.testing.assert_array_equal(again[0], expected)
-        assert again[1].sum() == 2
-        assert again[1][catalog.index_of("writefile")] == 2
+        batch = extractor.extract_batch([log, {"WRITEFILE": 2, "NotMonitored0": 5}])
+        assert len(extractor._columns) == n  # the seed only, no stored misses
+        np.testing.assert_array_equal(batch[0], expected)
+        assert batch[1].sum() == 2
+        assert batch[1][catalog.index_of("writefile")] == 2
+
+    def test_mixed_case_catalog_name_is_never_matched(self):
+        # Lookups lower-case the call name, so a catalog entry that is not
+        # itself lower-case can never be hit, not even by its own spelling.
+        catalog = ApiCatalog(("WriteFile", "createfilea", "readfile"))
+        extractor = CountExtractor(catalog)
+        log = ApiLog(sample_id="m", os_version="win7", records=[
+            LogRecord("WriteFile", 0), LogRecord("writefile", 1),
+            LogRecord("ReadFile", 2), LogRecord("createfilea", 3)])
+        batch = extractor.extract_batch([log, {"WriteFile": 4, "READFILE": 6}])
+        np.testing.assert_array_equal(batch, [[0, 1, 1], [0, 0, 6]])
+        assert not catalog.monitored("WriteFile")
 
 
 class TestCountTransformer:
