@@ -18,34 +18,51 @@ identical to a single service's — only latency observations differ — and
 results are merged in submission order, so a fleet replay is deterministic
 apart from timing.
 
+Wire format
+-----------
+A task-queue message is a *chunk*: a list of ``(seq, request, enqueued_at)``
+triples.  Closed-loop streams are cut into chunks of
+:func:`chunk_size` requests so one pickle, one queue hop and one claim cover
+many requests; paced streams send each request as it falls due, in a chunk
+of one.  A raw :class:`~repro.apilog.ApiLog` payload travels as its
+API-count mapping (:func:`wire_counts`): the multiset of raw call names is
+all featurisation reads, it featurises to the same row bit for bit, and it
+pickles to a fraction of the log's records.
+
 Supervision
 -----------
 The dispatcher runs a claim/ack protocol: a replica announces
-``("claim", id, seq)`` the moment it pulls a request off the dispatch queue
-and the dispatcher clears the claim when that request's verdict arrives.
-When a replica dies — detected through its dying-gasp ``("crashed", ...)``
-message or a liveness poll — every claimed-but-unanswered request is
-re-enqueued exactly once (verdict dedup guards the race), and a replacement
-replica is launched while the restart budget lasts.  Every recovery event is
-counted in the :class:`~repro.reliability.report.ReliabilityReport` carried
-by the :class:`FleetReport`, and a :class:`~repro.reliability.faults.FaultPlan`
+``("claim", id, [seq, ...])`` for a whole chunk the moment it pulls the
+chunk off the dispatch queue, and the dispatcher clears each claim when
+that request's verdict arrives.  When a replica dies — detected through its
+dying-gasp ``("crashed", ...)`` message or a liveness poll — every
+claimed-but-unanswered request is re-enqueued exactly once (verdict dedup
+guards the race), and a replacement replica is launched while the restart
+budget lasts.  Every recovery event is counted in the
+:class:`~repro.reliability.report.ReliabilityReport` carried by the
+:class:`FleetReport`, and a :class:`~repro.reliability.faults.FaultPlan`
 can be armed to inject crashes, flush failures, latency spikes and
-malformed payloads at the ``fleet.dispatch`` / ``service.flush`` sites.
+malformed payloads at the ``fleet.dispatch`` (once per request, not per
+chunk) / ``service.flush`` sites.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import queue as queue_module
 import time
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict as dataclass_asdict
+from dataclasses import replace as dataclass_replace
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.apilog import ApiLog
 from repro.config import ScaleProfile, get_profile
 from repro.exceptions import ParallelError
 from repro.experiments.context import ExperimentContext
@@ -130,32 +147,47 @@ def _build_detector(config: Mapping[str, object], context: ExperimentContext,
                          model=servable.model)
 
 
-def _crash_payload(payload) -> Tuple[object, Optional[Dict[str, object]]]:
-    """Split a dying-gasp payload into (reliability dict, obs snapshot).
+def wire_counts(log: ApiLog) -> Counter:
+    """The form a log payload travels in on the task queue.
 
-    Accepts both the current ``{"reliability": ..., "obs": ...}`` form and
-    the bare reliability dict older workers shipped.
+    The count of each *raw* API name in the log's records: the exact name
+    sequence :meth:`~repro.features.extraction.CountExtractor.extract_batch`
+    reads from a log, so the mapping featurises to the same row bit for bit
+    (case variants and unmonitored names included).  It is deliberately not
+    :meth:`ApiLog.api_counts`, which lower-cases every name first and so
+    costs about twice as much per log.
     """
-    if isinstance(payload, Mapping) and "reliability" in payload:
-        return payload.get("reliability"), payload.get("obs")
-    return payload, None
+    return Counter(record.api for record in log.records)
+
+
+def chunk_size(n_requests: int, max_batch_size: int, n_workers: int) -> int:
+    """Requests per task-queue message in a closed-loop stream.
+
+    About four chunks per replica keep the load balanced while a chunk's
+    pickle, queue hop and claim are shared by its requests; a chunk never
+    exceeds one fused batch.
+    """
+    return min(max_batch_size, math.ceil(n_requests / (4 * n_workers)))
 
 
 def _fleet_worker(worker_id: int, config: Dict[str, object],
                   task_queue, result_queue) -> None:
-    """One replica: pull requests, micro-batch them, ship verdicts back.
+    """One replica: pull request chunks, micro-batch them, ship verdicts back.
 
-    Protocol on ``result_queue``: ``("ready", id, None)`` after startup,
-    ``("claim", id, seq)`` the moment a request is pulled off the dispatch
-    queue, ``("verdicts", id, [(seq, Verdict), ...])`` per flush,
+    Each task-queue item is a chunk — a list of ``(seq, ScoringRequest,
+    enqueued_at)`` triples whose log payloads arrive as API-count mappings
+    (see :func:`wire_counts`) — or the ``None`` stop sentinel.  Protocol
+    on ``result_queue``: ``("ready", id, None)`` after startup,
+    ``("claim", id, [seq, ...])`` the moment a chunk is pulled off the
+    dispatch queue, ``("verdicts", id, [(seq, Verdict), ...])`` per flush,
     ``("stats", id, {...})`` after the stop sentinel, ``("crashed", id,
-    reliability_dict)`` as the dying gasp of an injected crash, and
-    ``("failed", id, RemoteFailure)`` on any other error.  Verdicts carry
-    the dispatcher-assigned sequence numbers so the merge is
+    {"reliability": ..., "obs": ...})`` as the dying gasp of an injected
+    crash, and ``("failed", id, RemoteFailure)`` on any other error.  The
+    requests of a chunk go through the replica's micro-batcher one by one,
+    so a chunk may span flushes and a flush may span chunks.  Verdicts
+    carry the dispatcher-assigned sequence numbers so the merge is
     submission-ordered regardless of which replica scored what.
     """
-    from dataclasses import replace as dataclass_replace
-
     plan_payload = config.get("fault_plan")
     injector = (FaultPlan.from_dict(plan_payload).injector(
         scope={"worker": worker_id}) if plan_payload else None)
@@ -204,19 +236,20 @@ def _fleet_worker(worker_id: int, config: Dict[str, object],
                 continue
             if item is None:
                 break
-            seq, request, enqueued_at = item
-            # Claim before any work: if this replica dies mid-request the
+            # Claim before any work: if this replica dies mid-chunk the
             # dispatcher knows exactly which sequence numbers to re-enqueue.
-            result_queue.put(("claim", worker_id, seq))
-            fired = maybe_fire(injector, "fleet.dispatch",
-                               seq=seq, request_id=request.request_id)
-            if fired is not None and fired.action == "malformed":
-                # Corrupt the payload only: the trace context (and id) must
-                # survive so the poison request's error span joins its tree.
-                request = dataclass_replace(
-                    request, payload=np.full(service.n_features, np.nan))
-            pending[request.request_id] = seq
-            emit(service.submit(request, enqueued_at=enqueued_at))
+            result_queue.put(("claim", worker_id, [seq for seq, _, _ in item]))
+            for seq, request, enqueued_at in item:
+                fired = maybe_fire(injector, "fleet.dispatch",
+                                   seq=seq, request_id=request.request_id)
+                if fired is not None and fired.action == "malformed":
+                    # Corrupt the payload only: the trace context (and id)
+                    # must survive so the poison request's error span joins
+                    # its tree.
+                    request = dataclass_replace(
+                        request, payload=np.full(service.n_features, np.nan))
+                pending[request.request_id] = seq
+                emit(service.submit(request, enqueued_at=enqueued_at))
         emit(service.drain())
         reliability = service.reliability
         if injector is not None:
@@ -549,8 +582,10 @@ class WorkerFleet:
         Returns ``(verdicts, report)`` with verdicts merged in submission
         order.  With ``rate_per_s`` the dispatcher paces enqueues like a
         Poisson arrival process (same schedule as the single-service
-        :func:`~repro.serving.loadgen.replay`); otherwise requests are
-        enqueued back-to-back.  Replica deaths are supervised: claimed
+        :func:`~repro.serving.loadgen.replay`), one request per message,
+        and merges verdicts while it waits for the next due time;
+        otherwise requests are enqueued back-to-back in chunks of
+        :func:`chunk_size`.  Replica deaths are supervised: claimed
         requests are re-dispatched exactly once and replacements launched
         while the restart budget lasts.  Stop sentinels are sent only after
         every verdict arrived (a redispatched request must never strand
@@ -563,7 +598,7 @@ class WorkerFleet:
         arrives; a redispatched request keeps its original context, so
         whichever replica finally scores it parents onto the same root.
 
-        ``progress``, if given, is called from the collection loop —
+        ``progress``, if given, is called by the dispatcher —
         ``progress(info)`` with ``new_verdicts`` (just-arrived, merge
         order), ``n_done``, ``n_expected``, ``elapsed_s``, ``restarts``
         and ``redispatches`` — whenever verdicts arrive and on every
@@ -584,37 +619,53 @@ class WorkerFleet:
                                         payload=request)
                     for seq, request in enumerate(requests)]
         self.start()
+        n_expected = len(requests)
         offsets = None
         if rate_per_s is not None:
             from repro.serving.loadgen import _poisson_offsets
 
-            offsets = _poisson_offsets(len(requests), rate_per_s, seed)
+            offsets = _poisson_offsets(n_expected, rate_per_s, seed)
+            step = 1  # paced: each request leaves as it falls due
+        else:
+            step = chunk_size(n_expected, self.max_batch_size, self.n_workers)
         obs = self.instrumentation
         stamper = (TraceStamper(obs, sample_every=self.trace_sample_every)
                    if obs is not None else None)
-        started = time.perf_counter()
         stamps: Dict[int, float] = {}
-        for seq, request in enumerate(requests):
-            if offsets is not None:
-                remaining = (started + offsets[seq]) - time.perf_counter()
-                if remaining > 0:
-                    time.sleep(remaining)
-            stamps[seq] = time.perf_counter()
-            if stamper is not None:
-                # The stamped request is kept so a redispatch after a
-                # replica death reuses the same trace context and root.
-                request = requests[seq] = stamper.stamp(request,
-                                                        started=stamps[seq])
-            self._task_queue.put((seq, request, stamps[seq]))
-        if obs is not None:
-            obs.count("fleet.dispatches", len(requests))
-
         verdicts: Dict[int, object] = {}
         claims: Dict[int, Set[int]] = {worker_id: set()
                                        for worker_id in self._processes}
         reliability = ReliabilityReport()
         restarts_remaining = self.restart_budget
-        n_expected = len(requests)
+        n_dispatched = 0
+        last_progress = next_tick = time.monotonic()
+
+        def send(seqs: Sequence[int]) -> None:
+            self._task_queue.put([(seq, requests[seq], stamps[seq])
+                                  for seq in seqs])
+
+        def dispatch(seqs: range) -> None:
+            nonlocal n_dispatched, last_progress
+            stamped = time.perf_counter()
+            for seq in seqs:
+                stamps[seq] = stamped
+                request = requests[seq]
+                if isinstance(request.payload, ApiLog):
+                    request = dataclass_replace(
+                        request, payload=wire_counts(request.payload))
+                if stamper is not None:
+                    request = stamper.stamp(request, started=stamped)
+                # Kept in wire form so a redispatch after a replica death
+                # re-sends the same payload, trace context and root.
+                requests[seq] = request
+            send(seqs)
+            n_dispatched = seqs.stop
+            last_progress = time.monotonic()
+
+        def fold_crash(payload: Mapping[str, object]) -> None:
+            reliability.merge(ReliabilityReport.from_dict(payload["reliability"]))
+            if obs is not None:
+                obs.merge_snapshot(payload["obs"])
 
         def handle_death(worker_id: int) -> None:
             nonlocal restarts_remaining
@@ -625,8 +676,8 @@ class WorkerFleet:
                     process.kill()
                     process.join(timeout=1.0)
             lost = sorted(claims.pop(worker_id, set()) - set(verdicts))
-            for seq in lost:
-                self._task_queue.put((seq, requests[seq], stamps[seq]))
+            for first in range(0, len(lost), step):
+                send(lost[first:first + step])
             reliability.redispatches += len(lost)
             if obs is not None and lost:
                 obs.count("fleet.redispatches", len(lost),
@@ -655,30 +706,9 @@ class WorkerFleet:
                 "redispatches": reliability.redispatches,
             })
 
-        last_progress = time.monotonic()
-        while len(verdicts) < n_expected:
-            try:
-                kind, worker_id, payload = self._result_queue.get(
-                    timeout=_LIVENESS_POLL_S)
-            except queue_module.Empty:
-                # The result queue is drained, so any verdicts a dead
-                # replica managed to flush were already merged — claims
-                # minus verdicts is exactly the set to re-dispatch.
-                for dead_id in [worker_id for worker_id, process
-                                in list(self._processes.items())
-                                if not process.is_alive()]:
-                    handle_death(dead_id)
-                    last_progress = time.monotonic()
-                report_progress([])
-                if time.monotonic() - last_progress > self.timeout_s:
-                    self.close()
-                    raise ParallelError(
-                        f"fleet made no progress for {self.timeout_s:.0f}s "
-                        f"({len(verdicts)}/{n_expected} verdicts in)")
-                continue
-            last_progress = time.monotonic()
+        def handle(kind: str, worker_id: int, payload) -> None:
             if kind == "claim":
-                claims.setdefault(worker_id, set()).add(payload)
+                claims.setdefault(worker_id, set()).update(payload)
             elif kind == "verdicts":
                 owned = claims.setdefault(worker_id, set())
                 fresh = []
@@ -694,16 +724,57 @@ class WorkerFleet:
                 if fresh:
                     report_progress(fresh)
             elif kind == "crashed":
-                crash_reliability, crash_obs = _crash_payload(payload)
-                reliability.merge(ReliabilityReport.from_dict(crash_reliability))
-                if obs is not None:
-                    obs.merge_snapshot(crash_obs)
+                fold_crash(payload)
                 handle_death(worker_id)
             elif kind == "ready":
                 claims.setdefault(worker_id, set())
             elif kind == "failed":
                 self.close()
                 payload.raise_()
+
+        def pump(timeout: float) -> None:
+            """Merge one result message; on a quiet queue, poll liveness."""
+            nonlocal last_progress, next_tick
+            try:
+                message = self._result_queue.get(timeout=timeout)
+            except queue_module.Empty:
+                now = time.monotonic()
+                if now < next_tick:
+                    return
+                next_tick = now + _LIVENESS_POLL_S
+                # The result queue is drained, so any verdicts a dead
+                # replica managed to flush were already merged — claims
+                # minus verdicts is exactly the set to re-dispatch.
+                for dead_id in [worker_id for worker_id, process
+                                in list(self._processes.items())
+                                if not process.is_alive()]:
+                    handle_death(dead_id)
+                    last_progress = time.monotonic()
+                report_progress([])
+                if (len(verdicts) < n_dispatched
+                        and time.monotonic() - last_progress > self.timeout_s):
+                    self.close()
+                    raise ParallelError(
+                        f"fleet made no progress for {self.timeout_s:.0f}s "
+                        f"({len(verdicts)}/{n_expected} verdicts in)")
+                return
+            last_progress = time.monotonic()
+            handle(*message)
+
+        started = time.perf_counter()
+        for first in range(0, n_expected, step):
+            if offsets is not None:
+                # Merge verdicts and watch liveness until the next request
+                # is due: progress and replica deaths must not wait for
+                # the whole schedule to be sent.
+                due = started + offsets[first]
+                while (remaining := due - time.perf_counter()) > 0:
+                    pump(min(remaining, _LIVENESS_POLL_S))
+            dispatch(range(first, min(first + step, n_expected)))
+        if obs is not None:
+            obs.count("fleet.dispatches", n_expected)
+        while len(verdicts) < n_expected:
+            pump(_LIVENESS_POLL_S)
         elapsed = time.perf_counter() - started
 
         for _ in self._processes:
@@ -720,10 +791,7 @@ class WorkerFleet:
                 # Crashed during drain: all verdicts are already in, so
                 # nothing is lost — fold its accounting and stop waiting
                 # for its stats.
-                crash_reliability, crash_obs = _crash_payload(payload)
-                reliability.merge(ReliabilityReport.from_dict(crash_reliability))
-                if obs is not None:
-                    obs.merge_snapshot(crash_obs)
+                fold_crash(payload)
                 process = self._processes.pop(worker_id, None)
                 if process is not None:
                     process.join(timeout=5.0)

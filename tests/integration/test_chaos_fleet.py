@@ -67,6 +67,34 @@ class TestChaosFleet:
         assert reliability.faults == {"fleet.dispatch": 1, "service.flush": 1}
         assert "restarts=1" in report.render()
 
+    def test_crash_mid_chunk_redispatches_the_chunk_once(self, tiny_context,
+                                                          malware_rows,
+                                                          baseline_verdicts):
+        from repro.parallel.fleet import chunk_size
+
+        # Worker 1 dies on the second request of the first chunk it pulls:
+        # its claim listed the whole chunk, so the rest of the chunk (and
+        # the one request already in its batcher) must re-run exactly once.
+        plan = FaultPlan(specs=(
+            FaultSpec(site="fleet.dispatch", action="crash", at=2,
+                      where={"worker": 1}),
+        ))
+        rows = list(malware_rows)
+        fleet = WorkerFleet(n_workers=2, context=tiny_context,
+                            max_batch_size=8, restart_budget=1,
+                            fault_plan=plan)
+        verdicts, report = fleet.score_stream(rows)
+        assert [verdict.request_id for verdict in verdicts] == \
+               [f"req-{seq + 1:06d}" for seq in range(len(rows))]
+        assert [verdict.malware_probability for verdict in verdicts] == \
+               [verdict.malware_probability for verdict in baseline_verdicts]
+        reliability = report.reliability
+        assert reliability.lost == 0
+        assert reliability.duplicates == 0
+        assert reliability.restarts == 1
+        assert 1 <= reliability.redispatches <= chunk_size(len(rows), 8, 2)
+        assert reliability.faults == {"fleet.dispatch": 1}
+
     def test_malformed_payload_isolated_as_error_verdict(self, tiny_context,
                                                          malware_rows,
                                                          baseline_verdicts):

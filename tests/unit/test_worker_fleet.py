@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.apilog import ApiLog, LogRecord
 from repro.exceptions import ParallelError
 from repro.parallel import WorkerFleet
+from repro.parallel.fleet import chunk_size, wire_counts
 from repro.serving import LoadGenerator, ModelRegistry, ScoringService, TrafficMix
+from repro.serving.loadgen import _poisson_offsets, replay
 from repro.serving.service import ScoringRequest
 
 
@@ -152,3 +155,75 @@ class TestFleetConfig:
         verdicts, _ = fleet.score_stream(list(malware_rows[:12]))
         assert [v.label for v in verdicts] == [v.label for v in baseline]
         assert all(v.defense == baseline[0].defense for v in verdicts)
+
+
+def _log(names) -> ApiLog:
+    return ApiLog(sample_id="wire", os_version="win7",
+                  records=[LogRecord(name, index)
+                           for index, name in enumerate(names)])
+
+
+class TestWireFormat:
+    """A log crosses the process boundary as its raw API-count mapping."""
+
+    def test_mapping_featurises_bitwise_equal_to_the_log(self, tiny_context):
+        pipeline = tiny_context.pipeline
+        first, second = pipeline.catalog.names[:2]
+        logs = [
+            # Case variants of one monitored name, interleaved.
+            _log([first, first.upper(), first.title(), second, first]),
+            # Unmonitored names next to a monitored one.
+            _log(["NotAnApi", second, "notanapi", "ZwFakeCall"]),
+            _log([]),
+        ]
+        wires = [wire_counts(log) for log in logs]
+        assert wires[2] == {}
+        assert pipeline.transform(wires).tobytes() == \
+               pipeline.transform(logs).tobytes()
+
+    def test_unbatched_fleet_matches_unbatched_service(self, tiny_context,
+                                                       tiny_servable):
+        generator = LoadGenerator(tiny_context,
+                                  mix=TrafficMix(clean=0.5, malware=0.4,
+                                                 adversarial=0.1),
+                                  seed=13)
+        requests = generator.generate(40)
+        assert sum(isinstance(request.payload, ApiLog)
+                   for request in requests) > len(requests) // 2
+        baseline = replay(ScoringService(tiny_servable, max_batch_size=1),
+                          requests)
+        fleet = WorkerFleet(n_workers=2, context=tiny_context,
+                            max_batch_size=1)
+        verdicts, _ = fleet.score_stream(requests)
+        assert [v.request_id for v in verdicts] == \
+               [r.request_id for r in requests]
+        assert [v.malware_probability for v in verdicts] == \
+               [v.malware_probability for v in baseline]
+        assert [v.label for v in verdicts] == [v.label for v in baseline]
+
+    def test_chunk_size(self):
+        assert chunk_size(150, 128, 2) == 19
+        assert chunk_size(10_000, 32, 2) == 32   # never above one batch
+        assert chunk_size(3, 128, 4) == 1
+        assert chunk_size(1, 1, 1) == 1
+
+
+class TestPacedCollection:
+    def test_verdicts_arrive_before_the_last_request_is_due(self, tiny_context,
+                                                            malware_rows):
+        rate, seed = 100.0, 5
+        requests = list(malware_rows[:40])
+        last_due_s = float(_poisson_offsets(len(requests), rate, seed)[-1])
+        first_verdict_s = []
+
+        def progress(info) -> None:
+            if info["new_verdicts"] and not first_verdict_s:
+                first_verdict_s.append(info["elapsed_s"])
+
+        fleet = WorkerFleet(n_workers=2, context=tiny_context,
+                            max_batch_size=8, max_delay_ms=1.0)
+        verdicts, _ = fleet.score_stream(requests, rate_per_s=rate, seed=seed,
+                                         progress=progress)
+        assert len(verdicts) == len(requests)
+        # The dispatcher merges verdicts while it waits to send the rest.
+        assert first_verdict_s and first_verdict_s[0] < last_due_s
