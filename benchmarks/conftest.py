@@ -19,7 +19,9 @@ the paper's values (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
+from statistics import median
 
 import pytest
 
@@ -75,3 +77,79 @@ def run_once(benchmark, func):
     bench measures a single end-to-end execution.
     """
     return benchmark.pedantic(func, rounds=1, iterations=1)
+
+
+def abba_blocks(run_plain, armed, blocks: int = 4):
+    """Palindromic interleave: per block, plain brackets the armed runs.
+
+    ``run_plain`` and every ``armed[name]`` are callables returning a tuple
+    whose first item is the elapsed time of one run.  Returns
+    ``(ratios, last)`` where ``ratios[name]`` holds one armed/plain
+    elapsed-time ratio per block (drift-cancelling: each variant's two runs
+    in a block sit symmetrically around the block's midpoint) and ``last``
+    keeps each variant's most recent full result for identity checks.
+    """
+    names = list(armed)
+    schedule = names + names[::-1]          # p a b | b a p  (p = bracket)
+    ratios = {name: [] for name in names}
+    last = {}
+    last["plain"] = run_plain()             # warm-up: interpreter + caches
+    for name in names:
+        last[name] = armed[name]()
+    for _ in range(blocks):
+        elapsed = {name: 0.0 for name in names}
+        plain_elapsed = 0.0
+        result = run_plain()
+        plain_elapsed += result[0]
+        last["plain"] = result
+        for name in schedule:
+            result = armed[name]()
+            elapsed[name] += result[0]
+            last[name] = result
+        result = run_plain()
+        plain_elapsed += result[0]
+        last["plain"] = result
+        for name in names:
+            # Two armed runs over two plain runs: the block ratio.
+            ratios[name].append(elapsed[name] / plain_elapsed)
+    return ratios, last
+
+
+def min_overhead(ratios) -> float:
+    """The least-contaminated overhead estimate: min block ratio − 1.
+
+    Noise only ever adds time, so the smallest armed/plain ratio across
+    blocks is the estimate least disturbed by it.
+    """
+    return min(ratios) - 1.0
+
+
+def cpu_timed(func, number: int = 1):
+    """One ABBA run of single-process work: ``(CPU seconds, last result)``.
+
+    CPU time of ``number`` back-to-back calls; ``time.process_time`` is
+    immune to scheduler preemption, which is most of this box's noise.
+    """
+    def run():
+        start = time.process_time()
+        for _ in range(number):
+            result = func()
+        return time.process_time() - start, result
+    return run
+
+
+def abba_speedup(baseline, candidate, blocks: int = 6, number: int = 1):
+    """Speedup of ``candidate`` over ``baseline`` from ABBA blocks of CPU time.
+
+    Returns ``(speedup, median_speedup, last)``: ``speedup`` is the inverse
+    of the minimum candidate/baseline block ratio (the gated estimate, the
+    same estimator :func:`min_overhead` gives overhead gates),
+    ``median_speedup`` the inverse of the median block ratio, and ``last``
+    maps ``"plain"`` (baseline) and ``"candidate"`` to their most recent
+    ``(cpu_s, result)``.
+    """
+    ratios, last = abba_blocks(cpu_timed(baseline, number),
+                               {"candidate": cpu_timed(candidate, number)},
+                               blocks=blocks)
+    ratios = ratios["candidate"]
+    return 1.0 / (1.0 + min_overhead(ratios)), 1.0 / median(ratios), last

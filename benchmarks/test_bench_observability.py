@@ -6,7 +6,8 @@ replays a raw request stream through a two-worker :class:`WorkerFleet`
 plain, fully traced and trace-sampled — recording every throughput ratio
 in ``BENCH_observability.json``.
 
-Measurement discipline (this box is a noisy shared container; naive
+Measurement discipline (:func:`conftest.abba_blocks` and
+:func:`conftest.min_overhead`; this box is a noisy shared container, naive
 back-to-back timing swings ±20%):
 
 * **ABBA blocks** — each block runs the variants in a palindromic order
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BENCH_SEED
+from conftest import BENCH_SEED, abba_blocks, min_overhead
 
 from repro.obs import Instrumentation, ListSink, SpanCollector
 from repro.parallel import WorkerFleet
@@ -137,45 +138,6 @@ def _replay_once(servable, requests, make_obs):
     return cpu, verdicts, service.report(wall), obs
 
 
-def _abba_blocks(run_plain, armed, blocks: int = BLOCKS):
-    """Palindromic interleave: per block, plain brackets the armed runs.
-
-    Returns ``(ratios, last)`` where ``ratios[name]`` holds one armed/plain
-    elapsed-time ratio per block (drift-cancelling: each variant's two runs
-    in a block sit symmetrically around the block's midpoint) and ``last``
-    keeps each variant's most recent full result for identity checks.
-    """
-    names = list(armed)
-    schedule = names + names[::-1]          # p a b | b a p  (p = bracket)
-    ratios = {name: [] for name in names}
-    last = {}
-    last["plain"] = run_plain()             # warm-up: interpreter + caches
-    for name in names:
-        last[name] = armed[name]()
-    for _ in range(blocks):
-        elapsed = {name: 0.0 for name in names}
-        plain_elapsed = 0.0
-        result = run_plain()
-        plain_elapsed += result[0]
-        last["plain"] = result
-        for name in schedule:
-            result = armed[name]()
-            elapsed[name] += result[0]
-            last[name] = result
-        result = run_plain()
-        plain_elapsed += result[0]
-        last["plain"] = result
-        for name in names:
-            # Two armed runs over two plain runs: the block ratio.
-            ratios[name].append(elapsed[name] / plain_elapsed)
-    return ratios, last
-
-
-def _min_overhead(ratios) -> float:
-    """The least-contaminated overhead estimate: min block ratio − 1."""
-    return min(ratios) - 1.0
-
-
 def _median(values):
     ordered = sorted(values)
     mid = len(ordered) // 2
@@ -191,7 +153,7 @@ def _decisions(verdicts):
 
 def test_bench_instrumentation_overhead(servable, feature_requests):
     """Armed instrumentation costs ≤ 5% throughput on the batched path."""
-    ratios, last = _abba_blocks(
+    ratios, last = abba_blocks(
         lambda: _replay_once(servable, feature_requests, lambda: None),
         {
             "metrics": lambda: _replay_once(servable, feature_requests,
@@ -199,7 +161,7 @@ def test_bench_instrumentation_overhead(servable, feature_requests):
             "sink": lambda: _replay_once(
                 servable, feature_requests,
                 lambda: Instrumentation(sink=ListSink(max_events=8192))),
-        })
+        }, blocks=BLOCKS)
     _, plain_verdicts, plain_report, _ = last["plain"]
     _, metrics_verdicts, _, _ = last["metrics"]
     _, sink_verdicts, _, _ = last["sink"]
@@ -210,8 +172,8 @@ def test_bench_instrumentation_overhead(servable, feature_requests):
     assert _decisions(metrics_verdicts) == plain_payloads
     assert _decisions(sink_verdicts) == plain_payloads
 
-    metrics_overhead = _min_overhead(ratios["metrics"])
-    sink_overhead = _min_overhead(ratios["sink"])
+    metrics_overhead = min_overhead(ratios["metrics"])
+    sink_overhead = min_overhead(ratios["sink"])
     _record("observability_overhead",
             n_requests=len(feature_requests), batch_size=BATCH_SIZE,
             blocks=BLOCKS,
@@ -261,7 +223,7 @@ def test_bench_tracing_overhead(bench_context, fleet_rows):
     sampled_fleet = make_fleet(Instrumentation(sink=ListSink()),
                                sample_every=SAMPLE_EVERY)
     try:
-        ratios, last = _abba_blocks(
+        ratios, last = abba_blocks(
             lambda: replay(plain_fleet),
             {
                 "traced": lambda: replay(traced_fleet),
@@ -295,8 +257,8 @@ def test_bench_tracing_overhead(bench_context, fleet_rows):
     assert collector.n_orphans == 0
     assert all(tree.complete for tree in sampled_trees.values())
 
-    traced_overhead = _min_overhead(ratios["traced"])
-    sampled_overhead = _min_overhead(ratios["sampled"])
+    traced_overhead = min_overhead(ratios["traced"])
+    sampled_overhead = min_overhead(ratios["sampled"])
     _record("tracing_overhead",
             n_requests=N_FLEET, n_workers=2, batch_size=BATCH_SIZE,
             blocks=len(ratios["sampled"]), sample_every=SAMPLE_EVERY,
@@ -318,12 +280,12 @@ def test_bench_tracing_overhead(bench_context, fleet_rows):
 def test_bench_off_by_default_costs_nothing_extra(servable, feature_requests):
     """The uninstrumented service carries only a dormant `is None` check;
     two plain replays bound the measurement noise floor for the table."""
-    ratios, last = _abba_blocks(
+    ratios, last = abba_blocks(
         lambda: _replay_once(servable, feature_requests, lambda: None),
         {"plain_again": lambda: _replay_once(servable, feature_requests,
                                              lambda: None)},
         blocks=2)
-    noise = abs(_min_overhead(ratios["plain_again"]))
+    noise = abs(min_overhead(ratios["plain_again"]))
     _record("observability_noise_floor",
             plain_rps=last["plain"][2].requests_per_s,
             run_to_run_noise=noise)

@@ -115,13 +115,20 @@ class JsmaAttack(Attack):
         more".  Infeasible features are later masked to ``-inf``.
         """
         target_grad = jacobian[:, self.target_class, :]
-        other_grad = jacobian.sum(axis=1) - target_grad
         if not self.use_saliency_map:
             return target_grad
         # Papernot-style saliency for increase-only perturbations:
         # salient iff dF_target/dx_j > 0 and sum_{i != target} dF_i/dx_j < 0.
-        salient = (target_grad > 0) & (other_grad < 0)
-        scores = np.where(salient, target_grad * np.abs(other_grad), -np.inf)
+        salient = target_grad > 0
+        if jacobian.shape[1] == 2:
+            # Binary networks: class_gradients writes the other row as the
+            # exact negation of this one, so the second condition is the
+            # first and |other_grad| is target_grad itself.
+            scores = np.where(salient, target_grad * target_grad, -np.inf)
+        else:
+            other_grad = jacobian.sum(axis=1) - target_grad
+            salient &= other_grad < 0
+            scores = np.where(salient, target_grad * np.abs(other_grad), -np.inf)
         # Fallback: when no feature is strictly salient for a sample, fall
         # back to the raw target-class gradient so the attack can still make
         # progress (matches CleverHans behaviour of relaxing the map).
@@ -129,6 +136,15 @@ class JsmaAttack(Attack):
         if np.any(no_salient):
             scores[no_salient] = target_grad[no_salient]
         return scores
+
+    def _blocked(self, matrix: np.ndarray) -> np.ndarray:
+        """Features a step may not perturb: ``(n, d)``, True = infeasible.
+
+        A feature is infeasible when it lies outside the modifiable mask or
+        already sits at the box maximum (it cannot be increased).
+        """
+        modifiable = self.constraints.modifiable_mask(matrix.shape[1])
+        return ~modifiable[None, :] | (matrix >= self.constraints.clip_max - 1e-12)
 
     # ------------------------------------------------------------------ #
     # Attack loop
@@ -166,7 +182,6 @@ class JsmaAttack(Attack):
         n_samples, n_features = original.shape
         constraints = self.constraints
         budget = constraints.max_features(n_features)
-        modifiable = constraints.modifiable_mask(n_features)
         iterations = np.zeros(n_samples, dtype=np.int64)
 
         if recorder is not None:
@@ -178,8 +193,11 @@ class JsmaAttack(Attack):
         if budget == 0 or constraints.theta == 0.0:
             return self._package(original, adversarial, iterations)
 
-        # Per-sample bookkeeping of which features have been touched.
-        touched = np.zeros((n_samples, n_features), dtype=bool)
+        # Infeasible features, kept up to date incrementally: a feature
+        # joins once a step perturbs it (the budget counts features, not
+        # additions).  Untouched features keep their original values, so
+        # saturation only ever needs checking once, here.
+        blocked = self._blocked(original)
         active = np.ones(n_samples, dtype=bool)
         per_step = self.features_per_step
         n_steps = budget if per_step == 1 else -(-budget // per_step)
@@ -213,13 +231,8 @@ class JsmaAttack(Attack):
                     idx = idx[keep]
                     jacobian = jacobian[keep]
             scores = self._feature_scores(jacobian)
-
-            # Features that cannot be perturbed: outside the mask, already
-            # saturated at the box maximum, or (per the budget semantics)
-            # already used for this sample.
-            saturated = adversarial[idx] >= constraints.clip_max - 1e-12
-            infeasible = (~modifiable)[None, :] | saturated | touched[idx]
-            scores = np.where(infeasible, -np.inf, scores)
+            # Infeasible features can never be selected.
+            np.copyto(scores, -np.inf, where=blocked[idx])
 
             if per_step == 1:
                 best = np.argmax(scores, axis=1)
@@ -231,7 +244,7 @@ class JsmaAttack(Attack):
             else:
                 # Top-k selection capped by each sample's remaining budget
                 # (argpartition-based: O(d) per row instead of a full sort).
-                remaining = budget - touched[idx].sum(axis=1)
+                remaining = budget - iterations[idx]
                 k_row = np.minimum(per_step, remaining)
                 k_max = int(max(k_row.max(), 1))
                 order = top_k_indices(scores, k_max)
@@ -248,7 +261,7 @@ class JsmaAttack(Attack):
             old_values = adversarial[rows, cols] if recorder is not None else None
             adversarial[rows, cols] = np.minimum(
                 adversarial[rows, cols] + constraints.theta, constraints.clip_max)
-            touched[rows, cols] = True
+            blocked[rows, cols] = True
             np.add.at(iterations, rows, 1)
             if recorder is not None:
                 recorder.record_step(step, rows, cols, old_values,
@@ -261,7 +274,7 @@ class JsmaAttack(Attack):
         if obs is not None:
             obs.count("jsma.samples", n_samples)
             obs.count("jsma.steps", steps_run)
-            obs.count("jsma.features_flipped", int(touched.sum()))
+            obs.count("jsma.features_flipped", int(iterations.sum()))
             obs.count("jsma.evasions", int(ever_evaded.sum()))
 
         # Safety: the loop construction already satisfies the constraints,
@@ -283,12 +296,7 @@ class JsmaAttack(Attack):
                               n_features=self.network.input_dim)
         if top_k < 1:
             raise AttackError(f"top_k must be >= 1, got {top_k}")
-        jacobian = self.network.class_gradients(matrix)
-        scores = self._feature_scores(jacobian)
-        modifiable = self.constraints.modifiable_mask(matrix.shape[1])
-        # A feature already at the box maximum cannot be increased, so it is
-        # never a valid selection — mask it exactly as the attack loop does.
-        saturated = matrix >= self.constraints.clip_max - 1e-12
-        infeasible = (~modifiable)[None, :] | saturated
-        scores = np.where(infeasible, -np.inf, scores)
+        scores = self._feature_scores(self.network.class_gradients(matrix))
+        # Mask infeasible features exactly as the attack loop's first step.
+        np.copyto(scores, -np.inf, where=self._blocked(matrix))
         return top_k_indices(scores, top_k)

@@ -30,6 +30,10 @@ cost of low-order digits (attack success rates agree within 1%).  Binary
 networks additionally use a fused single-backward Jacobian in
 :meth:`NeuralNetwork.class_gradients` — softmax rows sum to 1, so
 ``dF_clean/dx == -dF_malware/dx`` and one backward pass yields both rows.
+Input gradients (``class_gradients``, ``loss_input_gradient``) use an
+input-only backward pass (:meth:`NeuralNetwork.input_backward`): they skip
+the weight and bias gradients entirely and leave every parameter's
+``.grad`` as the caller left it.
 """
 
 from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Tanh, softmax

@@ -36,6 +36,12 @@ arrays to callers (``predict``, ``predict_proba``, ``class_gradients``,
 ``loss_input_gradient``) copies out of the buffers, so the aliasing is
 invisible unless you call ``Layer.forward`` directly and hold the result
 across passes — set ``get_engine().reuse_buffers = False`` for that.
+
+Input gradients (``class_gradients``, ``loss_input_gradient``) walk the
+layers through ``input_backward``: each Dense layer fills only its
+input-gradient buffer and never touches the weight-gradient buffer or any
+parameter ``.grad`` array, so they do not disturb gradients a training
+step has accumulated.
 """
 
 from __future__ import annotations

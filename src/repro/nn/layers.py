@@ -60,6 +60,14 @@ class Layer:
         """
         raise NotImplementedError
 
+    def input_backward(self, grad_output: np.ndarray) -> np.ndarray:
+        """Return the gradient w.r.t. inputs without touching parameters.
+
+        Layers without parameters have nothing else to skip, so this is
+        their :meth:`backward`; trainable layers override it.
+        """
+        return self.backward(grad_output)
+
     def parameters(self) -> List[Parameter]:
         """Return this layer's trainable parameters (possibly empty)."""
         return []
@@ -139,7 +147,16 @@ class Dense(Layer):
             self._wgrad_scratch = scratch
             np.matmul(self._inputs.T, grad_output, out=scratch)
             self.weight.grad += scratch
-            self.bias.grad += grad_output.sum(axis=0)
+        else:
+            self.weight.grad += self._inputs.T @ grad_output
+        self.bias.grad += grad_output.sum(axis=0)
+        return self.input_backward(grad_output)
+
+    def input_backward(self, grad_output: np.ndarray) -> np.ndarray:
+        """``grad_output @ W.T`` only: no weight or bias gradient."""
+        weight = self.weight.value
+        grad_output = np.asarray(grad_output, dtype=weight.dtype)
+        if get_engine().reuse_buffers:
             out = ensure_buffer(self._bwd_out, (grad_output.shape[0], self.in_features),
                                 weight.dtype)
             if out is grad_output:
@@ -147,8 +164,6 @@ class Dense(Layer):
             self._bwd_out = out
             np.matmul(grad_output, weight.T, out=out)
             return out
-        self.weight.grad += self._inputs.T @ grad_output
-        self.bias.grad += grad_output.sum(axis=0)
         return grad_output @ weight.T
 
     def parameters(self) -> List[Parameter]:

@@ -12,6 +12,10 @@ the container exposes the *input-gradient* machinery the attacks need:
 * :meth:`loss_input_gradient` — gradient of the training loss w.r.t. the
   input, used by FGSM and by gradient-based data augmentation in the
   black-box framework.
+
+Both walk the layers through :meth:`input_backward`, which computes only
+the input gradient: they neither pay for nor disturb the parameter
+gradients a training step accumulates.
 """
 
 from __future__ import annotations
@@ -125,11 +129,6 @@ class NeuralNetwork:
         """Total number of scalar trainable parameters."""
         return int(sum(p.value.size for p in self.parameters()))
 
-    def zero_grad(self) -> None:
-        """Clear all accumulated parameter gradients."""
-        for param in self.parameters():
-            param.zero_grad()
-
     def clone(self) -> "NeuralNetwork":
         """Deep-copy the network (weights and configuration)."""
         return copy.deepcopy(self)
@@ -185,14 +184,27 @@ class NeuralNetwork:
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
         """Backpropagate a gradient w.r.t. the logits through every layer.
 
-        Returns the gradient with respect to the network input.  Parameter
-        gradients are accumulated as a side effect; callers doing pure
-        input-gradient computations should call :meth:`zero_grad` afterwards
-        (the convenience wrappers below do this automatically).
+        Returns the gradient with respect to the network input and
+        accumulates parameter gradients as a side effect — this is the
+        training backward pass.  For the input gradient alone use
+        :meth:`input_backward`, which leaves parameter gradients untouched.
         """
         grad = np.asarray(grad_logits)
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
+        return grad
+
+    def input_backward(self, grad_logits: np.ndarray) -> np.ndarray:
+        """Backpropagate to the input only, skipping every parameter gradient.
+
+        Each :class:`~repro.nn.layers.Dense` computes just ``grad @ W.T``,
+        so this costs about half of :meth:`backward` and never reads or
+        writes a ``.grad`` array.  The input gradient is bitwise identical
+        to the one :meth:`backward` returns.
+        """
+        grad = np.asarray(grad_logits)
+        for layer in reversed(self.layers):
+            grad = layer.input_backward(grad)
         return grad
 
     def train_step(self, inputs: np.ndarray, targets: np.ndarray,
@@ -217,9 +229,13 @@ class NeuralNetwork:
         For binary classifiers the softmax rows sum to 1, so
         ``dF_0/dx == -dF_1/dx`` and the full Jacobian needs only ONE backward
         pass — this fused path halves the per-step backward cost of JSMA.
-        ``fused=None`` (the default) selects it automatically when
-        ``n_classes == 2``; pass ``fused=False`` to force the per-class loop
-        (used by the verification tests and benchmarks).
+        Row 1 is then written as the exact ``np.negative`` of row 0, which
+        the JSMA saliency map relies on.  ``fused=None`` (the default)
+        selects it automatically when ``n_classes == 2``; pass
+        ``fused=False`` to force the per-class loop (used by the
+        verification tests and benchmarks).  Either way the backward passes
+        go through :meth:`input_backward`, so parameter gradients are
+        neither computed nor touched.
 
         With ``return_probs=True`` the softmax probabilities from the forward
         pass are returned alongside the Jacobian, letting attack loops reuse
@@ -237,32 +253,31 @@ class NeuralNetwork:
         use_fused = self.n_classes == 2 if fused is None else (fused and self.n_classes == 2)
         if use_fused:
             grad_logits = softmax_input_gradient(probs, 0, temperature=temp)
-            grad_input = self.backward(grad_logits)
-            jacobian[:, 0, :] = grad_input
+            jacobian[:, 0, :] = self.input_backward(grad_logits)
             np.negative(jacobian[:, 0, :], out=jacobian[:, 1, :])
         else:
             for class_index in range(self.n_classes):
                 grad_logits = softmax_input_gradient(probs, class_index, temperature=temp)
                 # A fresh forward pass is not needed between classes: layer
-                # caches are untouched by backward(); we only need to discard
-                # the accumulated parameter gradients afterwards.
-                jacobian[:, class_index, :] = self.backward(grad_logits)
-        self.zero_grad()
+                # caches are untouched by input_backward().
+                jacobian[:, class_index, :] = self.input_backward(grad_logits)
         if return_probs:
             return jacobian, probs
         return jacobian
 
     def loss_input_gradient(self, inputs: np.ndarray, labels: np.ndarray,
                             temperature: Optional[float] = None) -> np.ndarray:
-        """Gradient of the cross-entropy loss w.r.t. the input (for FGSM)."""
+        """Gradient of the cross-entropy loss w.r.t. the input (for FGSM).
+
+        Parameter gradients are left untouched (see :meth:`input_backward`).
+        """
         temp = self.temperature if temperature is None else temperature
         loss = SoftmaxCrossEntropy(temperature=temp)
         logits = self.forward(inputs, training=False)
         loss.forward(logits, labels)
-        # Copy: backward() may return a reused layer buffer (repro.nn.engine).
-        grad_input = np.array(self.backward(loss.backward()))
-        self.zero_grad()
-        return grad_input
+        # Copy: input_backward() may return a reused layer buffer
+        # (repro.nn.engine).
+        return np.array(self.input_backward(loss.backward()))
 
     # ------------------------------------------------------------------ #
     # Serialization

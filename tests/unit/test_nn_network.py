@@ -107,9 +107,45 @@ class TestInputGradients:
         jacobian = small_mlp.class_gradients(x)
         np.testing.assert_allclose(jacobian[:, 0, :], -jacobian[:, 1, :], atol=1e-12)
 
+    @staticmethod
+    def _seed_grads(network):
+        """Give every parameter a non-zero accumulated gradient; return copies."""
+        rng = np.random.default_rng(11)
+        for param in network.parameters():
+            param.grad[...] = rng.standard_normal(param.grad.shape)
+        return [param.grad.copy() for param in network.parameters()]
+
     def test_class_gradients_leave_parameter_grads_clean(self, small_mlp):
-        small_mlp.class_gradients(np.random.default_rng(0).random((3, 12)))
-        assert all(np.all(p.grad == 0.0) for p in small_mlp.parameters())
+        seeded = self._seed_grads(small_mlp)
+        x = np.random.default_rng(0).random((3, 12))
+        for fused in (None, False):
+            small_mlp.class_gradients(x, fused=fused)
+            for param, before in zip(small_mlp.parameters(), seeded):
+                np.testing.assert_array_equal(param.grad, before)
+
+    def test_loss_input_gradient_leaves_parameter_grads_clean(self, small_mlp):
+        seeded = self._seed_grads(small_mlp)
+        small_mlp.loss_input_gradient(np.random.default_rng(1).random((3, 12)),
+                                      np.array([0, 1, 1]))
+        for param, before in zip(small_mlp.parameters(), seeded):
+            np.testing.assert_array_equal(param.grad, before)
+
+    @pytest.mark.parametrize("reuse", [True, False])
+    def test_input_backward_equals_training_backward(self, small_mlp, reuse):
+        from repro.nn.engine import get_engine
+
+        engine = get_engine()
+        saved, engine.reuse_buffers = engine.reuse_buffers, reuse
+        try:
+            x = np.random.default_rng(2).random((5, 12))
+            grad_logits = np.random.default_rng(3).standard_normal((5, 2))
+            small_mlp.forward(x)
+            input_only = np.array(small_mlp.input_backward(grad_logits))
+            assert all(np.all(p.grad == 0.0) for p in small_mlp.parameters())
+            full = np.array(small_mlp.backward(grad_logits))
+        finally:
+            engine.reuse_buffers = saved
+        np.testing.assert_array_equal(input_only, full)
 
     def test_loss_input_gradient_matches_finite_differences(self):
         from repro.nn.engine import use_dtype
