@@ -124,32 +124,26 @@ def min_overhead(ratios) -> float:
     return min(ratios) - 1.0
 
 
-def cpu_timed(func, number: int = 1):
-    """One ABBA run of single-process work: ``(CPU seconds, last result)``.
-
-    CPU time of ``number`` back-to-back calls; ``time.process_time`` is
-    immune to scheduler preemption, which is most of this box's noise.
-    """
-    def run():
-        start = time.process_time()
-        for _ in range(number):
-            result = func()
-        return time.process_time() - start, result
-    return run
-
-
-def abba_speedup(baseline, candidate, blocks: int = 6, number: int = 1):
+def abba_speedup(baseline, candidate, blocks: int = 6, number: int = 1) -> dict:
     """Speedup of ``candidate`` over ``baseline`` from ABBA blocks of CPU time.
 
-    Returns ``(speedup, median_speedup, last)``: ``speedup`` is the inverse
-    of the minimum candidate/baseline block ratio (the gated estimate, the
-    same estimator :func:`min_overhead` gives overhead gates),
-    ``median_speedup`` the inverse of the median block ratio, and ``last``
-    maps ``"plain"`` (baseline) and ``"candidate"`` to their most recent
-    ``(cpu_s, result)``.
+    Each run is the CPU time of ``number`` back-to-back calls;
+    ``time.process_time`` is immune to scheduler preemption, the main noise
+    on a shared machine.  Returns a record: ``speedup`` is baseline over
+    candidate in the best block (the gated estimate, the speedup form of
+    :func:`min_overhead`), ``speedup_median`` the median block's, and
+    ``block_speedups`` every block's, in run order.
     """
-    ratios, last = abba_blocks(cpu_timed(baseline, number),
-                               {"candidate": cpu_timed(candidate, number)},
-                               blocks=blocks)
+    def cpu_timed(func):
+        def run():
+            start = time.process_time()
+            for _ in range(number):
+                func()
+            return (time.process_time() - start,)
+        return run
+
+    ratios, _ = abba_blocks(cpu_timed(baseline),
+                            {"candidate": cpu_timed(candidate)}, blocks=blocks)
     ratios = ratios["candidate"]
-    return 1.0 / (1.0 + min_overhead(ratios)), 1.0 / median(ratios), last
+    return {"speedup": 1.0 / min(ratios), "speedup_median": 1.0 / median(ratios),
+            "block_speedups": [round(1.0 / ratio, 4) for ratio in ratios]}

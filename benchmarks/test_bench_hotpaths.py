@@ -41,9 +41,6 @@ from repro.utils.artifact_cache import ArtifactCache
 
 BENCH_JSON = Path(__file__).parents[1] / "BENCH_hotpaths.json"
 
-#: ABBA blocks per speedup gate.
-ABBA_BLOCKS = 6
-
 _records: dict = {}
 
 
@@ -94,31 +91,15 @@ def hot_batch(bench_scale, hot_network):
     return np.clip(batch, 0.0, 1.0)
 
 
-def _abba_speedup(baseline, candidate, number: int = 3) -> dict:
-    """Speedup of ``candidate`` over ``baseline``, ready to record.
-
-    The gated ``speedup`` comes from :func:`conftest.abba_speedup`; the
-    median block speedup and the per-call CPU times of the last runs are
-    recorded alongside.
-    """
-    speedup, median_speedup, last = abba_speedup(baseline, candidate,
-                                                 blocks=ABBA_BLOCKS, number=number)
-    return {"speedup": speedup, "speedup_median": median_speedup,
-            "blocks": ABBA_BLOCKS, "estimator": "abba_min_cpu",
-            "baseline_cpu_ms": last["plain"][0] / number * 1e3,
-            "candidate_cpu_ms": last["candidate"][0] / number * 1e3}
-
-
 def test_bench_class_gradients_fused(hot_network, hot_batch):
     """The fused binary Jacobian beats the per-class backward loop."""
-    measured = _abba_speedup(
+    measured = abba_speedup(
         lambda: hot_network.class_gradients(hot_batch, fused=False),
-        lambda: hot_network.class_gradients(hot_batch))
+        lambda: hot_network.class_gradients(hot_batch), number=3)
     _record("class_gradients", batch=hot_batch.shape[0], **measured)
-    print(f"\nclass_gradients: fused {measured['candidate_cpu_ms']:.3f} ms, "
-          f"loop {measured['baseline_cpu_ms']:.3f} ms CPU, "
-          f"speedup {measured['speedup']:.2f}x "
-          f"(median {measured['speedup_median']:.2f}x)")
+    print(f"\nclass_gradients: fused over per-class loop "
+          f"{measured['speedup']:.2f}x (median {measured['speedup_median']:.2f}x, "
+          f"blocks {measured['block_speedups']})")
     # One backward instead of two; the shared forward bounds the gain below 2x.
     assert measured["speedup"] > 1.1
 
@@ -139,12 +120,11 @@ def test_bench_jsma_step(hot_network, hot_batch):
         hot_network.class_gradients(hot_batch, fused=False)
         hot_network.predict(hot_batch)
 
-    measured = _abba_speedup(seed_equivalent_step, current_step)
+    measured = abba_speedup(seed_equivalent_step, current_step, number=3)
     _record("jsma_step", batch=hot_batch.shape[0], **measured)
-    print(f"\njsma_step: current {measured['candidate_cpu_ms']:.3f} ms, "
-          f"seed-equivalent {measured['baseline_cpu_ms']:.3f} ms CPU, "
-          f"speedup {measured['speedup']:.2f}x "
-          f"(median {measured['speedup_median']:.2f}x)")
+    print(f"\njsma_step: current over seed-equivalent "
+          f"{measured['speedup']:.2f}x (median {measured['speedup_median']:.2f}x, "
+          f"blocks {measured['block_speedups']})")
     assert measured["speedup"] >= 1.5
 
 

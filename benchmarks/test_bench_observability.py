@@ -7,7 +7,7 @@ plain, fully traced and trace-sampled — recording every throughput ratio
 in ``BENCH_observability.json``.
 
 Measurement discipline (:func:`conftest.abba_blocks` and
-:func:`conftest.min_overhead`; this box is a noisy shared container, naive
+:func:`conftest.min_overhead`; on a noisy shared machine naive
 back-to-back timing swings ±20%):
 
 * **ABBA blocks** — each block runs the variants in a palindromic order
@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
+from statistics import median
 
 import pytest
 
@@ -138,13 +139,6 @@ def _replay_once(servable, requests, make_obs):
     return cpu, verdicts, service.report(wall), obs
 
 
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    return (ordered[mid] if len(ordered) % 2
-            else (ordered[mid - 1] + ordered[mid]) / 2.0)
-
-
 def _decisions(verdicts):
     """Verdict payloads minus latency_ms (a measurement, not a decision)."""
     return [{key: value for key, value in verdict.as_dict().items()
@@ -179,15 +173,15 @@ def test_bench_instrumentation_overhead(servable, feature_requests):
             blocks=BLOCKS,
             plain_rps=plain_report.requests_per_s,
             metrics_overhead=metrics_overhead,
-            metrics_overhead_median=_median(ratios["metrics"]) - 1.0,
+            metrics_overhead_median=median(ratios["metrics"]) - 1.0,
             sink_overhead=sink_overhead,
-            sink_overhead_median=_median(ratios["sink"]) - 1.0,
+            sink_overhead_median=median(ratios["sink"]) - 1.0,
             verdict_mismatches=0)
     print(f"\nplain {plain_report.requests_per_s:,.0f} req/s, "
           f"metrics {metrics_overhead:+.1%} "
-          f"(median {_median(ratios['metrics']) - 1.0:+.1%}), "
+          f"(median {median(ratios['metrics']) - 1.0:+.1%}), "
           f"metrics+sink {sink_overhead:+.1%} "
-          f"(median {_median(ratios['sink']) - 1.0:+.1%})")
+          f"(median {median(ratios['sink']) - 1.0:+.1%})")
     assert metrics_overhead <= MAX_OVERHEAD
     assert sink_overhead <= MAX_OVERHEAD
 
@@ -263,16 +257,16 @@ def test_bench_tracing_overhead(bench_context, fleet_rows):
             n_requests=N_FLEET, n_workers=2, batch_size=BATCH_SIZE,
             blocks=len(ratios["sampled"]), sample_every=SAMPLE_EVERY,
             sampled_overhead=sampled_overhead,
-            sampled_overhead_median=_median(ratios["sampled"]) - 1.0,
+            sampled_overhead_median=median(ratios["sampled"]) - 1.0,
             full_fidelity_overhead=traced_overhead,
-            full_fidelity_overhead_median=_median(ratios["traced"]) - 1.0,
+            full_fidelity_overhead_median=median(ratios["traced"]) - 1.0,
             n_traces_full=N_FLEET,
             n_traces_sampled=len(sampled_trees),
             n_orphans=0, verdict_mismatches=0)
     print(f"\nfleet tracing: sampled 1/{SAMPLE_EVERY} {sampled_overhead:+.1%} "
-          f"(median {_median(ratios['sampled']) - 1.0:+.1%}), "
+          f"(median {median(ratios['sampled']) - 1.0:+.1%}), "
           f"full fidelity {traced_overhead:+.1%} "
-          f"(median {_median(ratios['traced']) - 1.0:+.1%}), "
+          f"(median {median(ratios['traced']) - 1.0:+.1%}), "
           f"{len(trees)} + {len(sampled_trees)} complete traces")
     assert sampled_overhead <= MAX_OVERHEAD
 
