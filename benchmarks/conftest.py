@@ -18,6 +18,7 @@ the paper's values (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from pathlib import Path
@@ -67,6 +68,54 @@ def results_dir():
 def save_rendering(results_dir: Path, name: str, rendered: str) -> None:
     """Persist a rendered experiment output for post-run inspection."""
     (results_dir / f"{name}.txt").write_text(rendered + "\n", encoding="utf-8")
+
+
+def bench_recorder(filename: str):
+    """``(record, fixture)`` for one ``BENCH_*.json`` file at the repo root.
+
+    ``record(name, **values)`` keeps one entry, floats rounded to 6 digits.
+    Bind the fixture to a module-level name of the bench module: it is
+    module-scoped and autouse, and at module teardown merges the module's
+    entries into the file (keys sorted, indent 2), keeping the entries it
+    did not write.
+    """
+    path = Path(__file__).parents[1] / filename
+    records: dict = {}
+
+    def record(name: str, **values) -> None:
+        records[name] = {key: round(val, 6) if isinstance(val, float) else val
+                         for key, val in values.items()}
+
+    @pytest.fixture(scope="module", autouse=True)
+    def write_bench_json():
+        yield
+        if not records:
+            return
+        existing = {}
+        if path.exists():
+            try:
+                existing = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError:
+                existing = {}
+        existing.update(records)
+        path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+
+    return record, write_bench_json
+
+
+def best_of(func, repeats: int = 3, number: int = 1):
+    """Best per-call wall time over ``repeats`` rounds of ``number`` calls.
+
+    Returns ``(seconds, result)`` with the last call's result.
+    """
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(number):
+            result = func()
+        best = min(best, (time.perf_counter() - start) / number)
+    return best, result
 
 
 def run_once(benchmark, func):

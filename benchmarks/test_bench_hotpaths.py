@@ -20,14 +20,12 @@ timings are best of several repeats.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import BENCH_SEED, abba_speedup
+from conftest import BENCH_SEED, abba_speedup, bench_recorder, best_of
 
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.jsma import JsmaAttack
@@ -39,41 +37,7 @@ from repro.nn.optimizers import Adam
 from repro.nn.training import Trainer
 from repro.utils.artifact_cache import ArtifactCache
 
-BENCH_JSON = Path(__file__).parents[1] / "BENCH_hotpaths.json"
-
-_records: dict = {}
-
-
-def _record(name: str, **values) -> None:
-    _records[name] = {key: round(val, 6) if isinstance(val, float) else val
-                      for key, val in values.items()}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json():
-    yield
-    if not _records:
-        return
-    existing = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except ValueError:
-            existing = {}
-    existing.update(_records)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-
-def best_of(func, repeats: int = 7, number: int = 3) -> float:
-    """Best per-call wall time over ``repeats`` batches of ``number`` calls."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(number):
-            func()
-        best = min(best, (time.perf_counter() - start) / number)
-    return best
+_record, _write_bench_json = bench_recorder("BENCH_hotpaths.json")
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +107,8 @@ def test_bench_float32_engine(bench_scale, hot_batch):
     with use_dtype("float32"):
         network32 = SubstituteModel.for_scale(bench_scale, random_state=7).network
     batch32 = hot_batch.astype(np.float32)
-    f32 = best_of(lambda: network32.class_gradients(batch32))
+    f32, _ = best_of(lambda: network32.class_gradients(batch32),
+                     repeats=7, number=3)
     _record("class_gradients_float32", fused_s=f32, batch=hot_batch.shape[0])
     print(f"\nclass_gradients float32: {f32 * 1e3:.3f} ms")
     jac64 = SubstituteModel.for_scale(bench_scale, random_state=7) \

@@ -35,20 +35,18 @@ can never fit a 5% budget, which is exactly why the sampling knob exists.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from statistics import median
 
 import pytest
 
-from conftest import BENCH_SEED, abba_blocks, min_overhead
+from conftest import BENCH_SEED, abba_blocks, bench_recorder, min_overhead
 
 from repro.obs import Instrumentation, ListSink, SpanCollector
 from repro.parallel import WorkerFleet
 from repro.serving import LoadGenerator, ModelRegistry, ScoringService, TrafficMix
 
-BENCH_JSON = Path(__file__).parents[1] / "BENCH_observability.json"
+_record, _write_bench_json = bench_recorder("BENCH_observability.json")
 
 #: Requests per measured single-process replay.
 N_REQUESTS = 4096
@@ -70,29 +68,6 @@ SAMPLE_EVERY = 32
 
 #: Maximum tolerated throughput cost of arming instrumentation.
 MAX_OVERHEAD = 0.05
-
-_records: dict = {}
-
-
-def _record(name: str, **values) -> None:
-    _records[name] = {key: round(val, 6) if isinstance(val, float) else val
-                      for key, val in values.items()}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json():
-    yield
-    if not _records:
-        return
-    existing = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except ValueError:
-            existing = {}
-    existing.update(_records)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 @pytest.fixture(scope="module")

@@ -18,42 +18,20 @@ either way, so CI and laptops both leave an honest trail.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
-import pytest
-
-from conftest import BENCH_SEED, run_once, save_rendering
+from conftest import BENCH_SEED, bench_recorder, run_once, save_rendering
 
 from repro.evaluation.reports import format_table
 from repro.parallel import GridExecutor, WorkerFleet, available_cpus
 from repro.scenarios import ScenarioSpec
 from repro.serving import ModelRegistry, ScoringService
 
-BENCH_JSON = Path(__file__).parents[1] / "BENCH_parallel.json"
+_record, _write_bench_json = bench_recorder("BENCH_parallel.json")
 
 GRID_WORKERS = 4
 FLEET_WORKERS = 2
-
-_records: dict = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json():
-    yield
-    if not _records:
-        return
-    existing = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except ValueError:
-            existing = {}
-    existing.update(_records)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 def _require_speedup() -> bool:
@@ -120,19 +98,18 @@ def test_bench_parallel_grid(benchmark, bench_context, results_dir):
                                       f"seed={BENCH_SEED}, "
                                       f"cpus={available_cpus()})"))
 
-    _records["parallel_grid"] = {
-        "scale": context.scale.name,
-        "seed": BENCH_SEED,
-        "n_cells": len(specs),
-        "n_workers": parallel.n_workers,
-        "n_cpus": available_cpus(),
-        "start_method": parallel.start_method,
-        "serial_s": round(serial_s, 6),
-        "parallel_s": round(parallel_s, 6),
-        "speedup": round(speedup, 4),
-        "byte_identical_to_serial": parallel_docs == serial_docs,
-        "speedup_asserted": _require_speedup(),
-    }
+    _record("parallel_grid",
+            scale=context.scale.name,
+            seed=BENCH_SEED,
+            n_cells=len(specs),
+            n_workers=parallel.n_workers,
+            n_cpus=available_cpus(),
+            start_method=parallel.start_method,
+            serial_s=serial_s,
+            parallel_s=parallel_s,
+            speedup=round(speedup, 4),
+            byte_identical_to_serial=parallel_docs == serial_docs,
+            speedup_asserted=_require_speedup())
 
     if _require_speedup():
         assert speedup >= 2.0, (
@@ -164,20 +141,19 @@ def test_bench_worker_fleet(benchmark, bench_context, results_dir):
                      for ours, theirs in zip(verdicts, baseline))
     assert mismatches == 0
 
-    _records["worker_fleet"] = {
-        "scale": context.scale.name,
-        "seed": BENCH_SEED,
-        "n_requests": len(stream),
-        "n_workers": report.n_workers,
-        "n_cpus": available_cpus(),
-        "start_method": report.start_method,
-        "single_service_s": round(single_s, 6),
-        "fleet_s": round(report.throughput.elapsed_s, 6),
-        "fleet_requests_per_s": round(report.throughput.requests_per_s, 2),
-        "fleet_p50_ms": round(report.throughput.p50_ms, 6),
-        "fleet_p99_ms": round(report.throughput.p99_ms, 6),
-        "verdict_mismatches": mismatches,
-    }
+    _record("worker_fleet",
+            scale=context.scale.name,
+            seed=BENCH_SEED,
+            n_requests=len(stream),
+            n_workers=report.n_workers,
+            n_cpus=available_cpus(),
+            start_method=report.start_method,
+            single_service_s=single_s,
+            fleet_s=report.throughput.elapsed_s,
+            fleet_requests_per_s=round(report.throughput.requests_per_s, 2),
+            fleet_p50_ms=report.throughput.p50_ms,
+            fleet_p99_ms=report.throughput.p99_ms,
+            verdict_mismatches=mismatches)
 
     save_rendering(results_dir, "worker_fleet",
                    "\n".join([f"single service: {len(stream)} requests in "

@@ -17,47 +17,22 @@ root; the batched/single speedup on the featurised path is asserted ≥ 5×.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import BENCH_SEED
+from conftest import BENCH_SEED, bench_recorder
 
 from repro.serving import LoadGenerator, ModelRegistry, ScoringService, TrafficMix
 
-BENCH_JSON = Path(__file__).parents[1] / "BENCH_serving.json"
+_record, _write_bench_json = bench_recorder("BENCH_serving.json")
 
 #: Requests per measured replay (large enough for stable quantiles).
 N_REQUESTS = 512
 
 #: Fused-batch size for the micro-batched path.
 BATCH_SIZE = 128
-
-_records: dict = {}
-
-
-def _record(name: str, **values) -> None:
-    _records[name] = {key: round(val, 6) if isinstance(val, float) else val
-                      for key, val in values.items()}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json():
-    yield
-    if not _records:
-        return
-    existing = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except ValueError:
-            existing = {}
-    existing.update(_records)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 @pytest.fixture(scope="module")

@@ -24,14 +24,10 @@ Numbers land in ``BENCH_sweep.json`` at the repository root.
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from conftest import abba_speedup, save_rendering
+from conftest import abba_speedup, bench_recorder, best_of, save_rendering
 
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.jsma import JsmaAttack
@@ -46,40 +42,7 @@ from repro.evaluation.security_curve import (
 )
 from repro.nn.metrics import detection_rate
 
-BENCH_JSON = Path(__file__).parents[1] / "BENCH_sweep.json"
-
-_records: dict = {}
-
-
-def _record(name: str, **values) -> None:
-    _records[name] = {key: round(val, 6) if isinstance(val, float) else val
-                      for key, val in values.items()}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json():
-    yield
-    if not _records:
-        return
-    existing = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except ValueError:
-            existing = {}
-    existing.update(_records)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-
-def best_of(func, repeats: int = 3):
-    """Best wall time over ``repeats`` single calls (plus the last result)."""
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = func()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+_record, _write_bench_json = bench_recorder("BENCH_sweep.json")
 
 
 def _seed_equivalent_gamma_sweep(attack_factory, malware_features, models,

@@ -10,7 +10,7 @@ without re-running any scoring.
 * :mod:`repro.analytics.schema` — table schemas with evolution-on-read;
 * :mod:`repro.analytics.store` — :class:`AnalyticsStore`: atomic-rename
   numpy segments, lock-free concurrent writers, filter/group-by/top-k
-  queries (DuckDB SQL when importable, never required);
+  queries;
 * :mod:`repro.analytics.ingest` — serve-run recording and idempotent
   ``BENCH_*.json`` import;
 * :mod:`repro.analytics.report` — the summary-first ``cli report``.

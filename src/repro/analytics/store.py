@@ -15,9 +15,7 @@ default (see :mod:`repro.analytics.schema`).
 
 The query API is deliberately small — :meth:`query` (column filters),
 :meth:`group_by` (single-pass aggregation) and :meth:`top_k` — and runs on
-pure numpy.  When the optional ``duckdb`` dependency is importable,
-:meth:`sql` exposes the same segments to ad-hoc SQL; the package never
-*requires* it.
+pure numpy.
 """
 
 from __future__ import annotations
@@ -31,14 +29,6 @@ import numpy as np
 
 from repro.analytics import schema
 from repro.exceptions import AnalyticsError
-
-try:  # pragma: no cover - exercised only where duckdb is installed
-    import duckdb  # type: ignore
-
-    _HAS_DUCKDB = True
-except ImportError:  # pragma: no cover - the baked image has no duckdb
-    duckdb = None
-    _HAS_DUCKDB = False
 
 __all__ = ["AnalyticsStore"]
 
@@ -215,36 +205,6 @@ class AnalyticsStore:
         _, first = np.unique(runs["run_id"], return_index=True)
         deduped = runs[np.sort(first)]
         return deduped[np.argsort(deduped["started_at"], kind="stable")]
-
-    # ------------------------------------------------------------------ #
-    # Optional SQL surface
-    # ------------------------------------------------------------------ #
-    @property
-    def has_sql(self) -> bool:
-        """Whether the optional DuckDB-backed :meth:`sql` path is usable."""
-        return _HAS_DUCKDB
-
-    def sql(self, query: str):  # pragma: no cover - needs optional duckdb
-        """Run ad-hoc SQL over the store's tables (requires ``duckdb``).
-
-        Every table is registered under its name; returns DuckDB's
-        ``fetchall`` rows.  Raises :class:`AnalyticsError` when duckdb is
-        not installed — the numpy query API above is the supported
-        fallback.
-        """
-        if not _HAS_DUCKDB:
-            raise AnalyticsError(
-                "the SQL query path needs the optional 'duckdb' package; "
-                "use query()/group_by()/top_k() instead")
-        connection = duckdb.connect(":memory:")
-        try:
-            for table in schema.TABLES:
-                array = self.scan(table)
-                columns = {name: array[name] for name in array.dtype.names}
-                connection.register(table, columns)
-            return connection.execute(query).fetchall()
-        finally:
-            connection.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AnalyticsStore(root={str(self.root)!r})"

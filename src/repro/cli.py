@@ -671,9 +671,12 @@ def _cmd_serve(args) -> int:
                                                f"fused batches")
     lines.append(report.render())
     if injector is not None:
-        service.reliability.record_faults(injector.fired)
-    if not service.reliability.empty():
-        lines.append(service.reliability.render())
+        from repro.reliability import record_faults
+
+        record_faults(service.instrumentation, injector.fired)
+    reliability = service.reliability
+    if not reliability.empty():
+        lines.append(reliability.render())
     if obs is not None:
         snapshot = obs.snapshot()
         lines.extend(_obs_summary_lines(snapshot))

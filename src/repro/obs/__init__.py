@@ -27,9 +27,14 @@ On top of the core sit three serving-observability layers:
 * :mod:`repro.obs.live` — atomically-published live snapshots, the
   ``cli top`` dashboard rendering and Prometheus text exposition.
 
-Everything is off by default: an uninstrumented run pays one ``is None``
+Observation is off by default: an unobserved run pays one ``is None``
 check per batch-level operation.  The serving benchmark pins the enabled
 overhead at ≤5% of batched throughput with byte-identical verdicts.
+Reliability counters (marked † below) are the exception: they are always
+counted, in the caller's instrumentation or in a private one without a
+sink, and :class:`~repro.reliability.ReliabilityReport` reads them.  They
+are counted once per rare event (a shed, a retry, a restart), never per
+scored request.
 
 Instrumented sites (see each module's docs for the exact metric names):
 
@@ -37,19 +42,23 @@ Instrumented sites (see each module's docs for the exact metric names):
 seam               metrics
 ================== ====================================================
 ScoringService     ``span.service.flush``, ``serve.requests``,
-                   ``serve.sheds``, ``serve.fallbacks``,
-                   ``serve.errors``, ``serve.flush_failures``; per traced
-                   request: ``span.fleet.queue``, ``span.batcher.enqueue``,
-                   ``span.request.score``
+                   ``serve.flush_failures``; always on†:
+                   ``serve.sheds``, ``serve.fallbacks``, ``serve.errors``,
+                   ``serve.flush_retries``, ``serve.breaker_trips``; per
+                   traced request: ``span.fleet.queue``,
+                   ``span.batcher.enqueue``, ``span.request.score``
 MicroBatcher       ``batcher.queue_depth`` (gauge),
                    ``batcher.batch_size`` (histogram),
                    ``batcher.flush_lag_ms`` (histogram: flush time past
                    the oldest item's deadline)
 SLOMonitor         ``alert.slo.<name>`` + one ``alert`` event per breach
-WorkerFleet        ``fleet.dispatches``, ``fleet.redispatches``,
-                   ``fleet.restarts`` + merged per-worker snapshots
-GridExecutor       ``span.grid.cell``, ``grid.cells``,
+WorkerFleet        ``fleet.dispatches``; always on†: ``fleet.redispatches``,
+                   ``fleet.restarts``, ``fleet.duplicates``; plus merged
+                   per-worker snapshots
+GridExecutor       ``span.grid.cell``, ``grid.cells``; always on†:
                    ``grid.cell_retries``, ``grid.cell_timeouts``
+FaultInjector      always on†: ``fault.<site>`` (faults fired, folded in
+                   at the end of a run)
 JsmaAttack         ``span.attack.jsma``, ``jsma.steps``,
                    ``jsma.features_flipped``, ``jsma.evasions``
 ArtifactCache      ``cache.hits``, ``cache.misses``,

@@ -11,8 +11,7 @@ boilerplate::
 
 Histograms keep O(1) summary state (count / sum / min / max), not samples —
 a minutes-long soak observes millions of values and the registry must not
-grow with them.  Full distributions belong in the analytics store or a
-streaming :class:`~repro.serving.stats.LatencyTracker`.
+grow with them.  Full distributions belong in the analytics store.
 
 Snapshots are plain nested dicts, and :meth:`MetricsRegistry.merge_snapshot`
 folds one registry's snapshot into another associatively — that is how a
@@ -149,11 +148,20 @@ class MetricsRegistry:
             metric = self._histograms[name] = Histogram(name)
         return metric
 
+    def counter_value(self, name: str) -> float:
+        """The counter ``name``'s value; 0.0, without creating it, if unknown."""
+        metric = self._counters.get(name)
+        return metric.value if metric is not None else 0.0
+
+    def counters(self) -> Dict[str, float]:
+        """Every counter's current value, by name (sorted)."""
+        return {name: counter.value
+                for name, counter in sorted(self._counters.items())}
+
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Plain-dict view of every metric (queue transport / ingestion)."""
         return {
-            "counters": {name: counter.value
-                         for name, counter in sorted(self._counters.items())},
+            "counters": self.counters(),
             "gauges": {name: {"value": gauge.value, "max": gauge.max_value,
                               "stamp": gauge.stamp}
                        for name, gauge in sorted(self._gauges.items())},

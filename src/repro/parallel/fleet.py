@@ -38,12 +38,15 @@ that request's verdict arrives.  When a replica dies — detected through its
 dying-gasp ``("crashed", ...)`` message or a liveness poll — every
 claimed-but-unanswered request is re-enqueued exactly once (verdict dedup
 guards the race), and a replacement replica is launched while the restart
-budget lasts.  Every recovery event is counted in the
+budget lasts.  Every recovery event is counted once, as a counter of the
+dispatcher's or a replica's instrumentation; each replica ships its
+counters home in one snapshot, and the
 :class:`~repro.reliability.report.ReliabilityReport` carried by the
-:class:`FleetReport`, and a :class:`~repro.reliability.faults.FaultPlan`
-can be armed to inject crashes, flush failures, latency spikes and
-malformed payloads at the ``fleet.dispatch`` (once per request, not per
-chunk) / ``service.flush`` sites.
+:class:`FleetReport` reads the merged counters.  A
+:class:`~repro.reliability.faults.FaultPlan` can be armed to inject
+crashes, flush failures, latency spikes and malformed payloads at the
+``fleet.dispatch`` (once per request, not per chunk) / ``service.flush``
+sites.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ from repro.reliability import (
     RetryPolicy,
     WorkerCrash,
     maybe_fire,
+    record_faults,
 )
 from repro.serving.stats import LatencyTracker, ThroughputReport
 from repro.utils.artifact_cache import ArtifactCache
@@ -170,6 +174,14 @@ def chunk_size(n_requests: int, max_batch_size: int, n_workers: int) -> int:
     return min(max_batch_size, math.ceil(n_requests / (4 * n_workers)))
 
 
+def _ledger_snapshot(service, injector: Optional[FaultInjector]
+                     ) -> Dict[str, object]:
+    """A replica's counters (fired faults folded in) for the trip home."""
+    if injector is not None:
+        record_faults(service.instrumentation, injector.fired)
+    return service.instrumentation.snapshot()
+
+
 def _fleet_worker(worker_id: int, config: Dict[str, object],
                   task_queue, result_queue) -> None:
     """One replica: pull request chunks, micro-batch them, ship verdicts back.
@@ -181,8 +193,7 @@ def _fleet_worker(worker_id: int, config: Dict[str, object],
     ``("claim", id, [seq, ...])`` the moment a chunk is pulled off the
     dispatch queue, ``("verdicts", id, [(seq, Verdict), ...])`` per flush,
     ``("stats", id, {...})`` after the stop sentinel, ``("crashed", id,
-    {"reliability": ..., "obs": ...})`` as the dying gasp of an injected
-    crash, and ``("failed", id, RemoteFailure)`` on any other error.  The
+    snapshot)`` as the dying gasp of an injected crash, and ``("failed", id, RemoteFailure)`` on any other error.  The
     requests of a chunk go through the replica's micro-batcher one by one,
     so a chunk may span flushes and a flush may span chunks.  Verdicts
     carry the dispatcher-assigned sequence numbers so the merge is
@@ -191,12 +202,14 @@ def _fleet_worker(worker_id: int, config: Dict[str, object],
     plan_payload = config.get("fault_plan")
     injector = (FaultPlan.from_dict(plan_payload).injector(
         scope={"worker": worker_id}) if plan_payload else None)
-    # When the dispatcher observes, every replica runs its own collector
-    # and ships the merged snapshot (metrics + bounded event buffer) home
-    # inside the existing stats message — no extra queue, no extra pickle
-    # per verdict.  The span-id namespace is ``worker_id + 1`` (restarts
-    # get a fresh worker id), so replica spans never collide with the
-    # dispatcher's (namespace 0) or another replica's in a stitched trace.
+    # The replica's service counts its reliability events in one
+    # instrumentation, whose snapshot rides home on the stats (or crash)
+    # message — no extra queue, no extra pickle per verdict.  When the
+    # dispatcher observes, that instrumentation is this collector, and the
+    # snapshot also carries spans and a bounded event buffer.  The span-id
+    # namespace is ``worker_id + 1`` (restarts get a fresh worker id), so
+    # replica spans never collide with the dispatcher's (namespace 0) or
+    # another replica's in a stitched trace.
     obs = (Instrumentation(sink=ListSink(max_events=_WORKER_OBS_EVENT_CAP),
                            tags={"worker": worker_id},
                            namespace=worker_id + 1)
@@ -251,30 +264,21 @@ def _fleet_worker(worker_id: int, config: Dict[str, object],
                 pending[request.request_id] = seq
                 emit(service.submit(request, enqueued_at=enqueued_at))
         emit(service.drain())
-        reliability = service.reliability
-        if injector is not None:
-            reliability.record_faults(injector.fired)
         result_queue.put(("stats", worker_id, {
             "n_requests": service.tracker.count,
             "n_batches": service.n_batches,
             "latencies_ms": service.tracker.latencies_ms,
-            "reliability": reliability.as_dict(),
-            "obs": obs.snapshot() if obs is not None else None,
+            "obs": _ledger_snapshot(service, injector),
         }))
     except WorkerCrash:
         # Dying gasp: flush the claims/verdicts already queued (plus this
-        # crash's accounting) through the feeder thread, then die hard —
-        # the dispatcher must never see a half-written message.  The obs
-        # snapshot rides along so spans recorded before the crash (error-
-        # tagged flushes included) survive into the dispatcher's stream.
-        reliability = service.reliability
-        if injector is not None:
-            reliability.record_faults(injector.fired)
+        # crash's counters) through the feeder thread, then die hard — the
+        # dispatcher must never see a half-written message.  When observed,
+        # spans recorded before the crash (error-tagged flushes included)
+        # ride along into the dispatcher's stream.
         try:
-            result_queue.put(("crashed", worker_id, {
-                "reliability": reliability.as_dict(),
-                "obs": obs.snapshot() if obs is not None else None,
-            }))
+            result_queue.put(("crashed", worker_id,
+                              _ledger_snapshot(service, injector)))
             result_queue.close()
             result_queue.join_thread()
         finally:
@@ -292,6 +296,7 @@ class FleetReport:
     start_method: str
     throughput: ThroughputReport
     per_worker: List[Dict[str, object]] = field(default_factory=list)
+    #: This replay's reliability events, read from the fleet-wide counters.
     reliability: ReliabilityReport = field(default_factory=ReliabilityReport)
     #: Fleet-wide instrumentation snapshot (dispatcher counters folded with
     #: every replica's forwarded snapshot); ``None`` when not observing.
@@ -359,11 +364,14 @@ class WorkerFleet:
         applies to failing micro-batch flushes.
     instrumentation:
         Optional :class:`~repro.obs.Instrumentation` held by the
-        dispatcher.  When set, every replica runs its own collector, ships
-        its snapshot back with the stats message, and
-        :meth:`score_stream` folds them (plus the dispatcher's own
-        ``fleet.dispatches`` / ``fleet.redispatches`` / ``fleet.restarts``
-        counters) into this object; the merged snapshot is surfaced on
+        dispatcher (a private one without a sink when ``None``).  The
+        dispatcher always counts ``fleet.dispatches``,
+        ``fleet.redispatches``, ``fleet.restarts`` and
+        ``fleet.duplicates`` in it, and :meth:`score_stream` folds in the
+        counters every replica ships back with its stats (or crash)
+        message; :attr:`FleetReport.reliability` reads them.  When set,
+        every replica also runs its own collector whose spans and events
+        ride the same snapshot, and the merged snapshot is surfaced on
         :attr:`FleetReport.obs`.  Every dispatched request is additionally
         *traced*: the dispatcher stamps a
         :class:`~repro.obs.trace.TraceContext` on (root span per request),
@@ -429,6 +437,7 @@ class WorkerFleet:
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
         self.instrumentation = instrumentation
+        self._ledger = Instrumentation()
         if trace_sample_every < 1:
             raise ParallelError(
                 f"trace_sample_every must be >= 1, got {trace_sample_every}")
@@ -628,14 +637,16 @@ class WorkerFleet:
             step = 1  # paced: each request leaves as it falls due
         else:
             step = chunk_size(n_expected, self.max_batch_size, self.n_workers)
-        obs = self.instrumentation
-        stamper = (TraceStamper(obs, sample_every=self.trace_sample_every)
-                   if obs is not None else None)
+        observer = self.instrumentation
+        obs = observer if observer is not None else self._ledger
+        metrics = obs.metrics
+        since = ReliabilityReport.of(metrics)
+        stamper = (TraceStamper(observer, sample_every=self.trace_sample_every)
+                   if observer is not None else None)
         stamps: Dict[int, float] = {}
         verdicts: Dict[int, object] = {}
         claims: Dict[int, Set[int]] = {worker_id: set()
                                        for worker_id in self._processes}
-        reliability = ReliabilityReport()
         restarts_remaining = self.restart_budget
         n_dispatched = 0
         last_progress = next_tick = time.monotonic()
@@ -662,11 +673,6 @@ class WorkerFleet:
             n_dispatched = seqs.stop
             last_progress = time.monotonic()
 
-        def fold_crash(payload: Mapping[str, object]) -> None:
-            reliability.merge(ReliabilityReport.from_dict(payload["reliability"]))
-            if obs is not None:
-                obs.merge_snapshot(payload["obs"])
-
         def handle_death(worker_id: int) -> None:
             nonlocal restarts_remaining
             process = self._processes.pop(worker_id, None)
@@ -678,15 +684,11 @@ class WorkerFleet:
             lost = sorted(claims.pop(worker_id, set()) - set(verdicts))
             for first in range(0, len(lost), step):
                 send(lost[first:first + step])
-            reliability.redispatches += len(lost)
-            if obs is not None and lost:
-                obs.count("fleet.redispatches", len(lost),
-                          worker=worker_id)
+            if lost:
+                obs.count("fleet.redispatches", len(lost), worker=worker_id)
             if restarts_remaining > 0:
                 restarts_remaining -= 1
-                reliability.restarts += 1
-                if obs is not None:
-                    obs.count("fleet.restarts", worker=worker_id)
+                obs.count("fleet.restarts", worker=worker_id)
                 claims[self._spawn_worker()] = set()
             if not self._processes:
                 self.close()
@@ -702,8 +704,10 @@ class WorkerFleet:
                 "n_done": len(verdicts),
                 "n_expected": n_expected,
                 "elapsed_s": time.perf_counter() - started,
-                "restarts": reliability.restarts,
-                "redispatches": reliability.redispatches,
+                "restarts": (int(metrics.counter_value("fleet.restarts"))
+                             - since.restarts),
+                "redispatches": (int(metrics.counter_value("fleet.redispatches"))
+                                 - since.redispatches),
             })
 
         def handle(kind: str, worker_id: int, payload) -> None:
@@ -715,7 +719,7 @@ class WorkerFleet:
                 for seq, verdict in payload:
                     owned.discard(seq)
                     if seq in verdicts:
-                        reliability.duplicates += 1
+                        obs.count("fleet.duplicates")
                     else:
                         verdicts[seq] = verdict
                         fresh.append(verdict)
@@ -724,7 +728,7 @@ class WorkerFleet:
                 if fresh:
                     report_progress(fresh)
             elif kind == "crashed":
-                fold_crash(payload)
+                obs.merge_snapshot(payload)
                 handle_death(worker_id)
             elif kind == "ready":
                 claims.setdefault(worker_id, set())
@@ -771,8 +775,7 @@ class WorkerFleet:
                 while (remaining := due - time.perf_counter()) > 0:
                     pump(min(remaining, _LIVENESS_POLL_S))
             dispatch(range(first, min(first + step, n_expected)))
-        if obs is not None:
-            obs.count("fleet.dispatches", n_expected)
+        obs.count("fleet.dispatches", n_expected)
         while len(verdicts) < n_expected:
             pump(_LIVENESS_POLL_S)
         elapsed = time.perf_counter() - started
@@ -785,13 +788,13 @@ class WorkerFleet:
             if kind == "stats":
                 worker_stats[worker_id] = payload
             elif kind == "verdicts":
-                reliability.duplicates += sum(
-                    seq in verdicts for seq, _ in payload)
+                # Every verdict is already in: anything more is a duplicate.
+                obs.count("fleet.duplicates", len(payload))
             elif kind == "crashed":
                 # Crashed during drain: all verdicts are already in, so
-                # nothing is lost — fold its accounting and stop waiting
+                # nothing is lost — fold its counters and stop waiting
                 # for its stats.
-                fold_crash(payload)
+                obs.merge_snapshot(payload)
                 process = self._processes.pop(worker_id, None)
                 if process is not None:
                     process.join(timeout=5.0)
@@ -806,10 +809,7 @@ class WorkerFleet:
             stats = worker_stats[worker_id]
             latencies = stats["latencies_ms"]
             tracker.extend(latencies)
-            reliability.merge(ReliabilityReport.from_dict(
-                stats.get("reliability")))
-            if obs is not None:
-                obs.merge_snapshot(stats.get("obs"))
+            obs.merge_snapshot(stats["obs"])
             per_worker.append({
                 "worker_id": worker_id,
                 "n_requests": stats["n_requests"],
@@ -821,8 +821,10 @@ class WorkerFleet:
                              start_method=self.start_method,
                              throughput=tracker.report(elapsed),
                              per_worker=per_worker,
-                             reliability=reliability,
-                             obs=(obs.snapshot() if obs is not None else None))
+                             reliability=ReliabilityReport.of(metrics,
+                                                              since=since),
+                             obs=(obs.snapshot() if observer is not None
+                                  else None))
         return [verdicts[seq] for seq in range(n_expected)], report
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -35,6 +35,7 @@ paths deterministically.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -54,6 +55,7 @@ from repro.reliability import (
     ReliabilityReport,
     RetryPolicy,
     maybe_fire,
+    record_faults,
 )
 from repro.scenarios.spec import ScenarioSpec
 from repro.utils.artifact_cache import ArtifactCache
@@ -289,10 +291,12 @@ class GridExecutor:
         Optional :class:`~repro.obs.Instrumentation`.  When unset the
         executor falls back to the ambient one (:func:`repro.obs.current`),
         so ``with instrumented(obs): executor.run(...)`` observes the grid
-        without touching call sites.  The serial path wraps every cell in
-        a ``grid.cell`` span; both paths count ``grid.cells``,
+        without touching call sites, and to a private one without a sink
+        when there is none.  Both paths always count ``grid.cells``,
         ``grid.cell_retries`` and ``grid.cell_timeouts`` at the
-        supervisor, so the counters cover pooled runs too.
+        supervisor, so the counters cover pooled runs too, and
+        :attr:`GridResult.reliability` reads them.  Only an observed
+        serial run wraps every cell in a ``grid.cell`` span.
     """
 
     def __init__(self, n_workers: Optional[int] = None,
@@ -320,6 +324,7 @@ class GridExecutor:
         self.shard_timeout_s = shard_timeout_s
         self.fault_plan = fault_plan
         self.instrumentation = instrumentation
+        self._ledger = Instrumentation()
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -340,28 +345,29 @@ class GridExecutor:
                               start_method=None)
         n_workers = min(self.n_workers, len(specs))
         started = time.perf_counter()
-        reliability = ReliabilityReport()
-        obs = (self.instrumentation if self.instrumentation is not None
-               else current_instrumentation())
+        observer = (self.instrumentation if self.instrumentation is not None
+                    else current_instrumentation())
+        obs = observer if observer is not None else self._ledger
+        since = ReliabilityReport.of(obs.metrics)
         if n_workers == 1:
-            reports = self._run_serial(specs, context, reliability, obs)
-            return GridResult(reports=reports,
-                              elapsed_s=time.perf_counter() - started,
-                              n_workers=1, start_method=None,
-                              reliability=reliability)
-        reports = self._run_pool(specs, context, n_workers, reliability, obs)
+            reports = self._run_serial(specs, context, obs,
+                                       observed=observer is not None)
+        else:
+            reports = self._run_pool(specs, context, n_workers, obs)
         return GridResult(reports=reports,
                           elapsed_s=time.perf_counter() - started,
-                          n_workers=n_workers, start_method=self.start_method,
-                          reliability=reliability)
+                          n_workers=n_workers,
+                          start_method=(self.start_method if n_workers > 1
+                                        else None),
+                          reliability=ReliabilityReport.of(obs.metrics,
+                                                           since=since))
 
     # ------------------------------------------------------------------ #
     # Serial baseline
     # ------------------------------------------------------------------ #
     def _run_serial(self, specs: Sequence[ScenarioSpec],
                     context: Optional[ExperimentContext],
-                    reliability: ReliabilityReport,
-                    obs: Optional[Instrumentation]) -> List:
+                    obs: Instrumentation, observed: bool) -> List:
         from repro.scenarios.runner import run_scenario
 
         injector = (self.fault_plan.injector()
@@ -381,26 +387,21 @@ class GridExecutor:
                 try:
                     maybe_fire(injector, "grid.cell",
                                cell=cell_index, attempt=attempt)
-                    if obs is None:
+                    with (obs.span("grid.cell", cell=cell_index,
+                                   attempt=attempt)
+                          if observed else nullcontext()):
                         reports.append(run_scenario(spec, context=cell_context))
-                    else:
-                        with obs.span("grid.cell", cell=cell_index,
-                                      attempt=attempt):
-                            reports.append(
-                                run_scenario(spec, context=cell_context))
-                        obs.count("grid.cells")
+                    obs.count("grid.cells")
                     break
                 except Exception:
                     if attempt >= self.retry_policy.max_retries:
                         raise
-                    reliability.cell_retries += 1
-                    if obs is not None:
-                        obs.count("grid.cell_retries", cell=cell_index)
+                    obs.count("grid.cell_retries", cell=cell_index)
                     time.sleep(self.retry_policy.delay(attempt,
                                                        token=cell_index))
                     attempt += 1
         if injector is not None:
-            reliability.record_faults(injector.fired)
+            record_faults(obs, injector.fired)
         return reports
 
     # ------------------------------------------------------------------ #
@@ -413,8 +414,7 @@ class GridExecutor:
 
     def _run_pool(self, specs: Sequence[ScenarioSpec],
                   context: Optional[ExperimentContext], n_workers: int,
-                  reliability: ReliabilityReport,
-                  obs: Optional[Instrumentation] = None) -> List:
+                  obs: Instrumentation) -> List:
         import multiprocessing
 
         mp_context = multiprocessing.get_context(self.start_method)
@@ -450,7 +450,7 @@ class GridExecutor:
             collected: Dict[int, object] = {}
             with mp_context.Pool(processes=n_workers, initializer=_init_worker,
                                  initargs=(payload,)) as pool:
-                self._supervise(pool, specs, collected, reliability, obs)
+                self._supervise(pool, specs, collected, obs)
         finally:
             _FORK_STATE.clear()
 
@@ -463,8 +463,7 @@ class GridExecutor:
 
     def _supervise(self, pool, specs: Sequence[ScenarioSpec],
                    collected: Dict[int, object],
-                   reliability: ReliabilityReport,
-                   obs: Optional[Instrumentation] = None) -> None:
+                   obs: Instrumentation) -> None:
         """Dispatch every cell via ``apply_async`` and supervise attempts.
 
         A failed attempt is rescheduled after the policy's backoff; an
@@ -496,9 +495,7 @@ class GridExecutor:
                     f"timed out after {attempt + 1} attempts of "
                     f"{self.shard_timeout_s}s each")
             if failure is not None:
-                reliability.cell_retries += 1
-                if obs is not None:
-                    obs.count("grid.cell_retries", cell=cell)
+                obs.count("grid.cell_retries", cell=cell)
             backoff[cell] = time.monotonic() + self.retry_policy.delay(
                 attempt, token=cell)
 
@@ -520,14 +517,11 @@ class GridExecutor:
                     else:
                         collected[cell] = outcome
                         progressed = True
-                        if obs is not None:
-                            obs.count("grid.cells")
+                        obs.count("grid.cells")
                 elif cell in deadlines and now > deadlines[cell]:
                     del inflight[cell]
                     del deadlines[cell]
-                    reliability.cell_timeouts += 1
-                    if obs is not None:
-                        obs.count("grid.cell_timeouts", cell=cell)
+                    obs.count("grid.cell_timeouts", cell=cell)
                     reschedule(cell, None)
             if not progressed and (inflight or backoff):
                 time.sleep(0.005)

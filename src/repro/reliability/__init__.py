@@ -2,9 +2,9 @@
 
 The dependability layer of the serving stack: deterministic chaos
 (:mod:`~repro.reliability.faults`), retry/backoff and circuit breaking
-(:mod:`~repro.reliability.retry`), and the structured event ledger
-(:mod:`~repro.reliability.report`) that the chaos soak benchmark asserts
-against.
+(:mod:`~repro.reliability.retry`), and the read-only report over the
+reliability counters (:mod:`~repro.reliability.report`) that the chaos
+soak benchmark asserts against.
 """
 
 from repro.reliability.faults import (
@@ -16,7 +16,7 @@ from repro.reliability.faults import (
     WorkerCrash,
     maybe_fire,
 )
-from repro.reliability.report import ReliabilityReport
+from repro.reliability.report import ReliabilityReport, record_faults
 from repro.reliability.retry import CircuitBreaker, RetryPolicy
 
 __all__ = [
@@ -30,4 +30,5 @@ __all__ = [
     "RetryPolicy",
     "WorkerCrash",
     "maybe_fire",
+    "record_faults",
 ]

@@ -166,13 +166,18 @@ class CircuitBreaker:
         self._failures = 0
         self._opened_at = None
 
-    def record_failure(self) -> None:
-        """Note a failed call; trips the breaker at the threshold."""
+    def record_failure(self) -> bool:
+        """Note a failed call; trips the breaker at the threshold.
+
+        Returns whether this failure opened the breaker (a new trip).
+        """
         self._failures += 1
+        tripped = False
         if self._failures >= self.failure_threshold:
-            if self._opened_at is None:
-                self.n_trips += 1
+            tripped = self._opened_at is None
+            self.n_trips += tripped
             self._opened_at = self._clock()
+        return tripped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CircuitBreaker(state={self.state!r}, "

@@ -99,11 +99,7 @@ class MicroBatcher(Generic[T, R]):
                             if instrumentation is not None else None)
         self._pending: List[T] = []
         self._oldest_enqueued_at: Optional[float] = None
-        self.n_submitted = 0
         self.n_flushes = 0
-        self.n_retries = 0
-        self.n_isolated = 0
-        self.batch_sizes: List[int] = []
 
     @property
     def pending(self) -> int:
@@ -127,7 +123,6 @@ class MicroBatcher(Generic[T, R]):
         if self._oldest_enqueued_at is None:
             self._oldest_enqueued_at = self._clock()
         self._pending.append(item)
-        self.n_submitted += 1
         if len(self._pending) >= self.max_batch_size:
             return self.flush()
         return []
@@ -184,7 +179,6 @@ class MicroBatcher(Generic[T, R]):
             self._oldest_enqueued_at = oldest
             raise
         self.n_flushes += 1
-        self.batch_sizes.append(len(batch))
         if self._obs is not None:
             # Queue depth is sampled at flush boundaries: depth grows
             # monotonically between flushes, so the pre-flush batch size
@@ -204,15 +198,9 @@ class MicroBatcher(Generic[T, R]):
         """One logical flush of ``batch``, retried under the policy if set."""
         if self._retry_policy is None:
             return list(self._flush_fn(batch))
-
-        def note_retry(attempt: int, error: Exception) -> None:
-            self.n_retries += 1
-            if self._on_retry is not None:
-                self._on_retry(attempt, error)
-
         return list(self._retry_policy.run(
             lambda: self._flush_fn(batch), sleep=self._sleep,
-            on_retry=note_retry))
+            on_retry=self._on_retry))
 
     def _flush_batch(self, batch: List[T]) -> List[R]:
         """Flush ``batch``, bisecting persistent failures down to one item.
@@ -227,7 +215,6 @@ class MicroBatcher(Generic[T, R]):
             if self._error_fn is None:
                 raise
             if len(batch) == 1:
-                self.n_isolated += 1
                 if self._on_isolate is not None:
                     self._on_isolate(batch[0], error)
                 return [self._error_fn(batch[0], error)]

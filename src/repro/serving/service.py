@@ -31,8 +31,10 @@ is unchanged):
   the batch;
 * ``fallback_after`` demotes a repeatedly-failing defended endpoint to the
   undefended fast path (verdicts then carry ``defense=None``);
-* every such event is counted in :attr:`ScoringService.reliability`, the
-  structured ledger the chaos benchmark asserts against.
+* every such event is counted once, as a ``serve.*`` counter of the
+  service's instrumentation (the caller's, or a private one), and
+  :attr:`ScoringService.reliability` reads those counters back — the
+  report the chaos benchmark asserts against.
 
 Shed and error verdicts carry ``label=-1`` and are *not* recorded in the
 latency tracker — throughput statistics describe scored requests only.
@@ -51,6 +53,7 @@ from repro.config import CLASS_MALWARE, CLASS_NAMES
 from repro.defenses.base import DefendedDetector
 from repro.exceptions import ServingError
 from repro.features.extraction import CountSource
+from repro.obs.instrument import Instrumentation
 from repro.obs.trace import TraceContext
 from repro.reliability import (CircuitBreaker, FaultInjector, ReliabilityReport,
                                RetryPolicy, maybe_fire)
@@ -154,16 +157,22 @@ class ScoringService:
         Optional :class:`~repro.reliability.faults.FaultInjector`; when
         armed, each flush announces itself at the ``service.flush`` site.
     instrumentation:
-        Optional :class:`~repro.obs.Instrumentation`.  When set, every
-        flush runs inside a ``service.flush`` span (tagged with the batch
-        size), the ``serve.requests`` / ``serve.sheds`` /
-        ``serve.fallbacks`` / ``serve.errors`` / ``serve.flush_failures``
-        counters track degradation, and the micro-batcher reports its
-        queue depth and batch sizes.  Requests carrying a
-        :class:`~repro.obs.trace.TraceContext` additionally get per-hop
-        spans (``fleet.queue``, ``batcher.enqueue``, ``request.score``)
-        recorded against their trace.  ``None`` (the default) leaves the
-        hot path byte-for-byte unchanged.
+        Optional :class:`~repro.obs.Instrumentation`.  Reliability events
+        are always counted — ``serve.sheds``, ``serve.fallbacks``,
+        ``serve.errors`` (isolated poison requests),
+        ``serve.flush_retries`` and ``serve.breaker_trips`` — in this
+        instrumentation, or in a private one without a sink when ``None``.
+        Observation needs the caller's: every flush then runs inside a
+        ``service.flush`` span (tagged with the batch size),
+        ``serve.requests`` / ``serve.flush_failures`` count flushes, and
+        the micro-batcher reports its queue depth and batch sizes.
+        Requests carrying a :class:`~repro.obs.trace.TraceContext`
+        additionally get per-hop spans (``fleet.queue``,
+        ``batcher.enqueue``, ``request.score``) recorded against their
+        trace.  ``None`` (the default) observes nothing, so the hot path
+        does no per-request instrumentation work.  Two live services given
+        the same instrumentation share one ledger: each one's
+        :attr:`reliability` then counts the other's events too.
     slo:
         Optional :class:`~repro.obs.slo.SLOMonitor`.  Every flush feeds
         its verdict latencies in and re-evaluates the burn-rate windows
@@ -196,10 +205,11 @@ class ScoringService:
         self.threshold = float(threshold)
         self._clock = clock
         self.tracker = LatencyTracker()
-        self.reliability = ReliabilityReport()
         self._breaker = circuit_breaker
         self._injector = injector
-        self._obs = instrumentation
+        self._observed = instrumentation is not None
+        self._obs = instrumentation if self._observed else Instrumentation()
+        self._since = ReliabilityReport.of(self._obs.metrics)
         self._slo = slo
         self._trace_pickups: dict = {}
         self._fallback_after = fallback_after
@@ -207,11 +217,11 @@ class ScoringService:
         self._fallen_back = False
 
         def note_retry(attempt: int, error: Exception) -> None:
-            self.reliability.flush_retries += 1
+            self._obs.count("serve.flush_retries")
 
         def note_isolate(item: Tuple[ScoringRequest, float],
                          error: Exception) -> None:
-            self.reliability.isolated += 1
+            self._obs.count("serve.errors")
 
         self._batcher: MicroBatcher[Tuple[ScoringRequest, float], Verdict] = MicroBatcher(
             self._flush_items, max_batch_size=max_batch_size,
@@ -245,6 +255,16 @@ class ScoringService:
         if self.detector is None or self._fallen_back:
             return None
         return self.detector.name
+
+    @property
+    def instrumentation(self) -> Instrumentation:
+        """The instrumentation this service counts into (never ``None``)."""
+        return self._obs
+
+    @property
+    def reliability(self) -> ReliabilityReport:
+        """Reliability events counted since this service was built."""
+        return ReliabilityReport.of(self._obs.metrics, since=self._since)
 
     @property
     def fell_back(self) -> bool:
@@ -377,9 +397,7 @@ class ScoringService:
                 if (self._fallback_after is not None
                         and self._defense_failures >= self._fallback_after):
                     self._fallen_back = True
-                    self.reliability.fallbacks += 1
-                    if self._obs is not None:
-                        self._obs.count("serve.fallbacks")
+                    self._obs.count("serve.fallbacks")
                 raise
             self._defense_failures = 0
         else:
@@ -430,7 +448,7 @@ class ScoringService:
         re-evaluated once per flush — batch-level work, like every other
         instrumentation point.
         """
-        if self._obs is None:
+        if not self._observed:
             verdicts = self._flush_attempt(items)
             if self._slo is not None:
                 self._feed_slo(verdicts)
@@ -481,9 +499,7 @@ class ScoringService:
         if (slo.wants_fallback() and not self._fallen_back
                 and self.detector is not None):
             self._fallen_back = True
-            self.reliability.fallbacks += 1
-            if self._obs is not None:
-                self._obs.count("serve.fallbacks")
+            self._obs.count("serve.fallbacks")
 
     def _flush_attempt(self, items: List[Tuple[ScoringRequest, float]]) -> List[Verdict]:
         try:
@@ -492,9 +508,8 @@ class ScoringService:
             enqueued = [started for _, started in items]
             verdicts = self._verdicts_for(requests, enqueued)
         except Exception:
-            if self._breaker is not None:
-                self._breaker.record_failure()
-                self.reliability.breaker_trips = self._breaker.n_trips
+            if self._breaker is not None and self._breaker.record_failure():
+                self._obs.count("serve.breaker_trips")
             raise
         if self._breaker is not None:
             self._breaker.record_success()
@@ -522,12 +537,10 @@ class ScoringService:
                        error: Exception) -> Verdict:
         """The batcher's poison-isolation hook: one bad request, answered."""
         request, started = item
-        if self._obs is not None:
-            self._obs.count("serve.errors")
-            if request.trace is not None:
-                pickup = self._trace_pickups.pop(request.request_id, started)
-                self._obs.record_span("request.score", pickup, self._clock(),
-                                      trace=request.trace, error=True)
+        if self._observed and request.trace is not None:
+            pickup = self._trace_pickups.pop(request.request_id, started)
+            self._obs.record_span("request.score", pickup, self._clock(),
+                                  trace=request.trace, error=True)
         if self._slo is not None:
             self._slo.observe(good=False, now=self._clock())
         return self._degraded_verdict(request, started, "error")
@@ -579,11 +592,9 @@ class ScoringService:
         request = self.make_request(source, request_id)
         started = enqueued_at if enqueued_at is not None else self._clock()
         if self._should_shed():
-            self.reliability.sheds += 1
-            if self._obs is not None:
-                self._obs.count("serve.sheds")
+            self._obs.count("serve.sheds")
             return [self._degraded_verdict(request, started, "shed")]
-        if self._obs is not None and request.trace is not None:
+        if self._observed and request.trace is not None:
             # The queue-wait hop ends here: dispatcher enqueue -> pickup.
             pickup = self._clock()
             self._obs.record_span("fleet.queue", started, pickup,

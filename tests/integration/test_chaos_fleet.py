@@ -10,8 +10,10 @@ dependability contract the paper-reproduction pipeline relies on.
 import pytest
 
 from repro.exceptions import ParallelError
+from repro.obs import Instrumentation
 from repro.parallel import GridExecutor, WorkerFleet
 from repro.reliability import FaultPlan, FaultSpec, InjectedFault, RetryPolicy
+from repro.reliability.report import COUNTERS, FAULT_PREFIX
 from repro.scenarios import ScenarioSpec
 from repro.serving import ModelRegistry, ScoringService
 
@@ -35,19 +37,39 @@ def _retry_policy() -> RetryPolicy:
     return RetryPolicy(max_retries=2, base_delay_s=0.01, seed=7)
 
 
+def _crash_and_flush_error_plan() -> FaultPlan:
+    return FaultPlan(specs=(
+        FaultSpec(site="fleet.dispatch", action="crash", at=3,
+                  where={"worker": 1}),
+        FaultSpec(site="service.flush", action="error", at=1,
+                  where={"worker": 0}),
+    ))
+
+
+def _assert_each_answered_once(verdicts, n_submitted: int) -> None:
+    """Nothing lost, nothing duplicated: the submitted ids, in order."""
+    assert [verdict.request_id for verdict in verdicts] == \
+           [f"req-{seq + 1:06d}" for seq in range(n_submitted)]
+
+
+def _reliability_counters(counters) -> dict:
+    """A report's ``as_dict()`` rebuilt from raw counters by hand."""
+    payload = {name: counters.get(counter, 0)
+               for name, counter in COUNTERS.items()}
+    payload["faults"] = {name[len(FAULT_PREFIX):]: value
+                         for name, value in counters.items()
+                         if name.startswith(FAULT_PREFIX)}
+    return payload
+
+
 class TestChaosFleet:
     def test_crash_and_flush_error_full_recovery(self, tiny_context,
                                                  malware_rows,
                                                  baseline_verdicts):
-        plan = FaultPlan(specs=(
-            FaultSpec(site="fleet.dispatch", action="crash", at=3,
-                      where={"worker": 1}),
-            FaultSpec(site="service.flush", action="error", at=1,
-                      where={"worker": 0}),
-        ))
         fleet = WorkerFleet(n_workers=2, context=tiny_context,
                             max_batch_size=8, restart_budget=2,
-                            fault_plan=plan, retry_policy=_retry_policy())
+                            fault_plan=_crash_and_flush_error_plan(),
+                            retry_policy=_retry_policy())
         verdicts, report = fleet.score_stream(list(malware_rows))
 
         # Zero lost, zero duplicated, and every surviving verdict identical
@@ -58,8 +80,8 @@ class TestChaosFleet:
             assert ours.malware_probability == theirs.malware_probability
             assert ours.label == theirs.label
             assert ours.model_version == theirs.model_version
+        _assert_each_answered_once(verdicts, len(malware_rows))
         reliability = report.reliability
-        assert reliability.lost == 0
         assert reliability.duplicates == 0
         assert reliability.restarts == 1          # worker 1 was replaced
         assert reliability.redispatches >= 1      # its in-flight work re-ran
@@ -88,8 +110,8 @@ class TestChaosFleet:
                [f"req-{seq + 1:06d}" for seq in range(len(rows))]
         assert [verdict.malware_probability for verdict in verdicts] == \
                [verdict.malware_probability for verdict in baseline_verdicts]
+        _assert_each_answered_once(verdicts, len(rows))
         reliability = report.reliability
-        assert reliability.lost == 0
         assert reliability.duplicates == 0
         assert reliability.restarts == 1
         assert 1 <= reliability.redispatches <= chunk_size(len(rows), 8, 2)
@@ -117,9 +139,10 @@ class TestChaosFleet:
                 assert verdict.malware_probability == \
                        baseline.malware_probability
                 assert verdict.label == baseline.label
+        _assert_each_answered_once(verdicts, len(malware_rows))
         reliability = report.reliability
         assert reliability.isolated == 1
-        assert reliability.lost == 0 and reliability.duplicates == 0
+        assert reliability.duplicates == 0
         assert reliability.faults == {"fleet.dispatch": 1}
 
     def test_latency_spike_changes_nothing_but_timing(self, tiny_context,
@@ -154,6 +177,43 @@ class TestChaosFleet:
     def test_negative_restart_budget_rejected(self, tiny_context):
         with pytest.raises(ParallelError):
             WorkerFleet(n_workers=1, context=tiny_context, restart_budget=-1)
+
+
+class TestOneLedgerFleet:
+    def test_reliability_equals_the_merged_counters(self, tiny_context,
+                                                   malware_rows):
+        fleet = WorkerFleet(n_workers=2, context=tiny_context,
+                            max_batch_size=8, restart_budget=2,
+                            fault_plan=_crash_and_flush_error_plan(),
+                            retry_policy=_retry_policy(),
+                            instrumentation=Instrumentation())
+        verdicts, report = fleet.score_stream(list(malware_rows))
+        _assert_each_answered_once(verdicts, len(malware_rows))
+        counters = report.obs["metrics"]["counters"]
+        assert report.reliability.as_dict() == _reliability_counters(counters)
+        assert report.reliability.restarts == 1
+        assert report.reliability.flush_retries == 1
+        assert report.reliability.faults == {"fleet.dispatch": 1,
+                                             "service.flush": 1}
+
+    def test_back_to_back_streams_report_only_their_own_events(
+            self, tiny_context, malware_rows):
+        fleet = WorkerFleet(n_workers=2, context=tiny_context,
+                            max_batch_size=8, restart_budget=2,
+                            fault_plan=_crash_and_flush_error_plan(),
+                            retry_policy=_retry_policy(),
+                            instrumentation=Instrumentation())
+        _, first = fleet.score_stream(list(malware_rows))
+        verdicts, second = fleet.score_stream(list(malware_rows))
+        _assert_each_answered_once(verdicts, len(malware_rows))
+        before = first.obs["metrics"]["counters"]
+        after = second.obs["metrics"]["counters"]
+        assert first.reliability.as_dict() == _reliability_counters(before)
+        assert first.reliability.restarts == 1
+        delta = {name: value - before.get(name, 0)
+                 for name, value in after.items()}
+        assert second.reliability.as_dict() == _reliability_counters(
+            {name: value for name, value in delta.items() if value})
 
 
 class TestChaosGrid:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ReproError, ServingError
+from repro.obs import Instrumentation, MetricsRegistry
 from repro.reliability import (
     FAULT_ACTIONS,
     CircuitBreaker,
@@ -15,7 +16,9 @@ from repro.reliability import (
     RetryPolicy,
     WorkerCrash,
     maybe_fire,
+    record_faults,
 )
+from repro.reliability.report import COUNTERS
 from repro.serving import MicroBatcher, ModelRegistry
 from repro.serving.service import ScoringRequest, ScoringService
 
@@ -287,43 +290,76 @@ class TestCircuitBreaker:
 # --------------------------------------------------------------------------- #
 class TestReliabilityReport:
     def test_empty_and_total_events(self):
-        report = ReliabilityReport()
+        metrics = MetricsRegistry()
+        report = ReliabilityReport.of(metrics)
         assert report.empty()
         assert report.total_events() == 0
-        report.sheds += 2
+        metrics.counter("serve.sheds").inc(2)
+        report = ReliabilityReport.of(metrics)
         assert not report.empty()
         assert report.total_events() == 2
-        faults_only = ReliabilityReport(faults={"s": 1})
+        faults_only = ReliabilityReport({"fault.s": 1})
         assert not faults_only.empty()
         assert faults_only.total_events() == 0
 
     def test_merge_sums_counters_and_faults(self):
-        left = ReliabilityReport(restarts=1, faults={"a": 1})
-        right = ReliabilityReport(restarts=2, flush_retries=3,
-                                  faults={"a": 1, "b": 4})
-        merged = left.merge(right)
-        assert merged is left
-        assert left.restarts == 3
-        assert left.flush_retries == 3
-        assert left.faults == {"a": 2, "b": 4}
+        left, right = Instrumentation(), Instrumentation()
+        left.count("fleet.restarts")
+        record_faults(left, {"a": 1})
+        right.count("fleet.restarts", 2)
+        right.count("serve.flush_retries", 3)
+        record_faults(right, {"a": 1, "b": 4})
+        left.merge_snapshot(right.snapshot())
+        merged = ReliabilityReport.of(left.metrics)
+        assert merged.restarts == 3
+        assert merged.flush_retries == 3
+        assert merged.faults == {"a": 2, "b": 4}
 
     def test_dict_round_trip(self):
-        report = ReliabilityReport(restarts=1, redispatches=2, sheds=3,
-                                   faults={"fleet.dispatch": 1})
-        clone = ReliabilityReport.from_dict(report.as_dict())
+        obs = Instrumentation()
+        obs.count("fleet.restarts")
+        obs.count("fleet.redispatches", 2)
+        obs.count("serve.sheds", 3)
+        obs.count("jsma.steps", 9)  # not a reliability counter
+        record_faults(obs, {"fleet.dispatch": 1})
+        report = ReliabilityReport.of(obs.metrics)
+        clone = ReliabilityReport(obs.snapshot()["metrics"]["counters"])
         assert clone == report
-        assert ReliabilityReport.from_dict(None) == ReliabilityReport()
+        assert report.as_dict() == {
+            "restarts": 1, "redispatches": 2, "flush_retries": 0,
+            "isolated": 0, "sheds": 3, "fallbacks": 0, "breaker_trips": 0,
+            "cell_retries": 0, "cell_timeouts": 0, "duplicates": 0,
+            "faults": {"fleet.dispatch": 1}}
+        assert ReliabilityReport.of(MetricsRegistry()) == ReliabilityReport()
 
     def test_record_faults_accumulates(self):
-        report = ReliabilityReport()
-        report.record_faults({"s": 2})
-        report.record_faults({"s": 1, "t": 1})
-        assert report.faults == {"s": 3, "t": 1}
+        obs = Instrumentation()
+        record_faults(obs, {"s": 2})
+        record_faults(obs, {"s": 1, "t": 1})
+        assert ReliabilityReport.of(obs.metrics).faults == {"s": 3, "t": 1}
+
+    def test_since_scopes_to_the_counter_delta(self):
+        metrics = MetricsRegistry()
+        metrics.counter("serve.sheds").inc(2)
+        metrics.counter("fault.s").inc()
+        start = ReliabilityReport.of(metrics)
+        metrics.counter("serve.sheds").inc()
+        metrics.counter("fleet.restarts").inc()
+        scoped = ReliabilityReport.of(metrics, since=start)
+        assert scoped.sheds == 1 and scoped.restarts == 1
+        assert scoped.faults == {}
+        assert scoped.total_events() == 2
+
+    def test_report_is_read_only(self):
+        report = ReliabilityReport({"serve.sheds": 1})
+        with pytest.raises(AttributeError):
+            report.sheds = 2
+        assert report.sheds == 1
 
     def test_render(self):
         assert "no events" in ReliabilityReport().render()
-        rendered = ReliabilityReport(restarts=1,
-                                     faults={"service.flush": 2}).render()
+        rendered = ReliabilityReport({"fleet.restarts": 1,
+                                      "fault.service.flush": 2}).render()
         assert "restarts=1" in rendered
         assert "service.flush=2" in rendered
 
@@ -341,12 +377,15 @@ class TestBatcherReliability:
                 raise ValueError("transient")
             return [item * 10 for item in batch]
 
+        retries = []
         batcher = MicroBatcher(flaky_flush, max_batch_size=2,
                                retry_policy=RetryPolicy(max_retries=1,
                                                         base_delay_s=0.0),
-                               sleep=no_sleep)
+                               sleep=no_sleep,
+                               on_retry=lambda attempt, error:
+                               retries.append(attempt))
         assert batcher.submit_many([1, 2]) == [10, 20]
-        assert batcher.n_retries == 1
+        assert retries == [0]
         assert batcher.n_flushes == 1
 
     def test_bisection_isolates_single_poison_item(self):
@@ -364,7 +403,6 @@ class TestBatcherReliability:
             ["a", "b", "poison", "c", "d", "e", "f", "g"])
         # Order is preserved and only the poison item degrades.
         assert results == ["A", "B", "error:poison", "C", "D", "E", "F", "G"]
-        assert batcher.n_isolated == 1
         assert isolated == ["poison"]
 
     def test_bisection_handles_multiple_poison_items(self):
@@ -373,10 +411,13 @@ class TestBatcherReliability:
                 raise ValueError("negative")
             return list(batch)
 
+        isolated = []
         batcher = MicroBatcher(flush, max_batch_size=4,
-                               error_fn=lambda item, error: None)
+                               error_fn=lambda item, error: None,
+                               on_isolate=lambda item, error:
+                               isolated.append(item))
         assert batcher.submit_many([1, -2, -3, 4]) == [1, None, None, 4]
-        assert batcher.n_isolated == 2
+        assert isolated == [-2, -3]
 
     def test_without_error_fn_failure_still_restores_batch(self):
         def bad_flush(batch):
@@ -392,13 +433,16 @@ class TestBatcherReliability:
         def crashing_flush(batch):
             raise WorkerCrash("replica death")
 
+        isolated = []
         batcher = MicroBatcher(crashing_flush, max_batch_size=4,
-                               error_fn=lambda item, error: "absorbed")
+                               error_fn=lambda item, error: "absorbed",
+                               on_isolate=lambda item, error:
+                               isolated.append(item))
         batcher.submit_many(["x", "y"])
         with pytest.raises(WorkerCrash):
             batcher.flush()
         assert batcher.pending == 2  # crash never eats queued items
-        assert batcher.n_isolated == 0
+        assert isolated == []
 
 
 # --------------------------------------------------------------------------- #
@@ -517,3 +561,63 @@ class TestServiceDegradation:
     def test_fallback_after_validation(self, tiny_servable):
         with pytest.raises(ServingError):
             ScoringService(tiny_servable, fallback_after=0)
+
+
+# --------------------------------------------------------------------------- #
+# One ledger: every event is one counter, observed or not
+# --------------------------------------------------------------------------- #
+class TestOneLedger:
+    @staticmethod
+    def _drive(servable, rows, instrumentation=None) -> ScoringService:
+        """Fallback + retried flush, then poison isolation, then a shed."""
+        class BrokenDefense:
+            name = "broken_defense"
+
+            def decide(self, features):
+                raise RuntimeError("defense wedged")
+
+        breaker = CircuitBreaker(failure_threshold=2, reset_after_s=10.0,
+                                 clock=FakeClock())
+        service = ScoringService(
+            servable, detector=BrokenDefense(), max_batch_size=4,
+            retry_policy=RetryPolicy(max_retries=1, base_delay_s=0.0),
+            circuit_breaker=breaker, isolate_poison=True, fallback_after=1,
+            retry_sleep=no_sleep, instrumentation=instrumentation)
+        requests = [service.make_request(row) for row in rows[:7]]
+        poison = ScoringRequest(request_id="poison",
+                                payload=np.full(service.n_features, np.nan))
+        verdicts = []
+        for request in requests[:4] + requests[4:7] + [poison]:
+            verdicts.extend(service.submit(request))
+        verdicts.extend(service.drain())
+        # Bisecting the poison request tripped the breaker: now it sheds.
+        verdicts.extend(service.submit(rows[7]))
+        assert [v.status for v in verdicts].count("error") == 1
+        assert verdicts[-1].status == "shed"
+        return service
+
+    def test_observed_and_unobserved_count_the_same(self, tiny_servable,
+                                                    malware_rows):
+        plain = self._drive(tiny_servable, malware_rows)
+        obs = Instrumentation()
+        observed = self._drive(tiny_servable, malware_rows, obs)
+        report = plain.reliability
+        assert report.as_dict() == observed.reliability.as_dict()
+        for name in ("sheds", "isolated", "flush_retries", "fallbacks",
+                     "breaker_trips"):
+            assert getattr(report, name) >= 1, name
+        counters = obs.snapshot()["metrics"]["counters"]
+        for name, counter in COUNTERS.items():
+            assert counters.get(counter, 0) == getattr(report, name), name
+        # Counting is always on, observation is not: no spans unobserved.
+        assert plain.instrumentation.sink is None
+        assert plain.instrumentation.tracer.n_spans == 0
+        assert obs.tracer.n_spans > 0
+
+    def test_service_scope_starts_at_construction(self, tiny_servable,
+                                                  malware_rows):
+        obs = Instrumentation()
+        obs.count("serve.sheds", 5)
+        service = self._drive(tiny_servable, malware_rows, obs)
+        assert service.reliability.sheds == 1
+        assert obs.metrics.counter_value("serve.sheds") == 6

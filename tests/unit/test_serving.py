@@ -52,8 +52,9 @@ class TestStats:
         assert "p99" in report.render()
 
     def test_tracker_record_batch_and_reset(self):
+        # One fused batch: the same latency for each of its requests.
         tracker = LatencyTracker()
-        tracker.record_batch(5.0, n_requests=3)
+        tracker.extend([5.0] * 3)
         assert tracker.count == 3
         tracker.reset()
         assert tracker.count == 0
@@ -106,13 +107,11 @@ class TestStats:
         assert tracker.latencies_ms == [0.0]
         with pytest.raises(ServingError):
             tracker.record(-0.001)
-        with pytest.raises(ServingError):
-            tracker.record_batch(-1.0, n_requests=2)
 
     def test_tracker_extend_merges_observations(self):
         left, right = LatencyTracker(), LatencyTracker()
         left.record(1.0)
-        right.record_batch(3.0, n_requests=2)
+        right.extend([3.0, 3.0])
         left.extend(right.latencies_ms)
         assert left.count == 3
         assert left.report(1.0).mean_ms == pytest.approx(7.0 / 3.0)
@@ -123,7 +122,7 @@ class TestStats:
         with pytest.raises(ServingError):
             LatencyTracker().record(-1.0)
         with pytest.raises(ServingError):
-            LatencyTracker().record_batch(-1.0, n_requests=2)
+            LatencyTracker().extend([1.0, -1.0])
 
 
 class TestMicroBatcher:
@@ -146,7 +145,6 @@ class TestMicroBatcher:
         assert flushed == [[1, 2, 3]]
         assert batcher.pending == 0
         assert batcher.n_flushes == 1
-        assert batcher.batch_sizes == [3]
 
     def test_poll_flushes_only_after_deadline(self):
         batcher, _, clock = self._batcher(max_batch_size=100, max_delay_ms=5.0)
