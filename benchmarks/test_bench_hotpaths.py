@@ -9,7 +9,10 @@ measure the primitives every experiment reduces to:
   pass vs. the seed-equivalent cost (per-class Jacobian + a second
   ``predict`` forward pass);
 * one training epoch of the Table IV substitute;
-* an :class:`ExperimentContext` build with a cold vs. warm artifact cache.
+* an :class:`ExperimentContext` build with a cold vs. warm artifact cache;
+* the per-log cost of a raw API log's life: sandbox execution, Table II
+  text parsing and bulk count extraction, recorded side by side so work
+  moved from featurisation into building or parsing a log shows.
 
 Measured numbers are appended to ``BENCH_hotpaths.json`` at the repository
 root so the speedups are recorded evidence, not assertions alone.  The two
@@ -27,9 +30,11 @@ import pytest
 
 from conftest import BENCH_SEED, abba_speedup, bench_recorder, best_of
 
+from repro.apilog.log_format import ApiLog
+from repro.apilog.sandbox import Sandbox
 from repro.attacks.constraints import PerturbationConstraints
 from repro.attacks.jsma import JsmaAttack
-from repro.config import TINY_PROFILE
+from repro.config import CLASS_MALWARE, TINY_PROFILE
 from repro.experiments.context import ExperimentContext
 from repro.models.substitute_model import SubstituteModel
 from repro.nn.engine import use_dtype
@@ -153,3 +158,39 @@ def test_bench_context_warm_vs_cold(tmp_path):
     print(f"\ncontext build: cold {cold:.2f} s, warm {warm:.3f} s, "
           f"speedup {speedup:.1f}x")
     assert speedup >= 5.0
+
+
+def test_bench_log_encoding(bench_context):
+    """Per-log µs to execute, parse and featurise a raw API log (recorded).
+
+    No gate: the record shows where a log's cost sits.  Extraction runs in
+    16-log micro-batches, the serving path's shape; parsed logs must
+    featurise to the executed logs' rows bit for bit.
+    """
+    n_logs, batch = 48, 16
+    samples = bench_context.generator.generate_source_samples(
+        n_logs, CLASS_MALWARE, source="test", rng_name="bench:log-encoding")
+
+    def execute():
+        sandbox = Sandbox(os_version="win7", random_state=BENCH_SEED,
+                          record_args=False)
+        return [sandbox.execute(sample).log for sample in samples]
+
+    extractor = bench_context.pipeline.extractor
+    execute_s, logs = best_of(execute, repeats=3)
+    texts = [log.to_text() for log in logs]
+    parse_s, parsed = best_of(
+        lambda: [ApiLog.from_text(text) for text in texts], repeats=3)
+    extract_s, rows = best_of(
+        lambda: [extractor.extract_batch(logs[start:start + batch])
+                 for start in range(0, n_logs, batch)], repeats=7)
+    assert np.vstack(rows).tobytes() == extractor.extract_batch(parsed).tobytes()
+    per_log = 1e6 / n_logs
+    _record("log_encoding", n_logs=n_logs, batch=batch,
+            calls_per_log=sum(map(len, logs)) / n_logs,
+            sandbox_execute_us_per_log=execute_s * per_log,
+            from_text_us_per_log=parse_s * per_log,
+            extract_batch_us_per_log=extract_s * per_log)
+    print(f"\nlog encoding per log: execute {execute_s * per_log:.0f} us, "
+          f"from_text {parse_s * per_log:.0f} us, "
+          f"extract_batch {extract_s * per_log:.1f} us")

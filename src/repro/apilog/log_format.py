@@ -10,13 +10,25 @@ i.e. ``<ApiName>:<ReturnAddress> (<args>)"<ThreadId>"``.  This module defines
 trace (with the sample / OS metadata the generator attaches), and round-trip
 ``format_line`` / ``parse_line`` helpers used by the feature-extraction
 pipeline and by the tests that validate the substrate end to end.
+
+Every record carries an interned integer ``code`` for its API name, derived
+once when the record is built: the default catalog's column of the
+lower-cased name, or ``-1`` for any other name.  The code space is fixed,
+bounded and the same in every process, so featurisation counts a batch of
+logs with one gather and one ``np.bincount`` over the codes
+(:func:`api_codes`) instead of one string lookup per call.  The code sits on
+the record rather than in per-log columns because copies of a log share
+their records.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.exceptions import SandboxError
 
@@ -28,18 +40,82 @@ _LINE_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """A single monitored API call."""
+def api_code_names() -> Tuple[str, ...]:
+    """The API name of every code: code ``i`` stands for entry ``i``.
 
+    The code space is the default catalog's columns, in order.
+    """
+    from repro.apilog.api_catalog import default_catalog
+
+    return default_catalog().names
+
+
+class _ApiCodes(dict):
+    """Raw API spelling → interned code: default-catalog column or ``-1``.
+
+    Seeded on first use with the code space's lower-case names, so a call
+    spelled as in the catalog is a plain C-level ``dict`` hit.  Any other
+    spelling resolves case-insensitively and is not stored, so hostile
+    names never grow the table past its seed.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> int:
+        if not self:
+            self.update((api, code) for code, api in enumerate(api_code_names())
+                        if api == api.lower())
+        return self.get(name.lower(), -1)
+
+
+#: The process's one code table; its contents are a pure function of the
+#: default catalog, so every process derives the same codes.
+_API_CODES = _ApiCodes()
+_code_of = _API_CODES.__getitem__
+
+
+class _RecordFields(NamedTuple):
     api: str
     address: int
     args: Tuple[str, ...] = ()
     thread_id: int = 0
+    code: int = -1
+
+
+class LogRecord(_RecordFields):
+    """A single monitored API call.
+
+    Built as ``LogRecord(api, address, args=(), thread_id=0)``; ``code`` is
+    derived from ``api`` (see the module docstring) and cannot be passed.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, api: str, address: int, args: Tuple[str, ...] = (),
+                thread_id: int = 0) -> "LogRecord":
+        return tuple.__new__(cls, (api, address, args, thread_id, _code_of(api)))
+
+    def __reduce__(self):
+        # Rebuilt through ``__new__``, so the receiving process derives the
+        # code from its own (identical) table.
+        return LogRecord, self[:4]
+
+    def _replace(self, **changes) -> "LogRecord":
+        fields = dict(zip(self._fields[:4], self))
+        fields.update(changes)
+        return LogRecord(**fields)
 
     def canonical_api(self) -> str:
         """The lower-cased API name used for feature lookup."""
         return self.api.lower()
+
+
+_record_code = itemgetter(_RecordFields._fields.index("code"))
+
+
+def api_codes(records: Iterable[LogRecord], count: int) -> np.ndarray:
+    """The codes of ``count`` records, in order, as one ``intp`` array."""
+    return np.fromiter(map(_record_code, records), dtype=np.intp, count=count)
 
 
 def format_line(record: LogRecord) -> str:
@@ -61,12 +137,8 @@ def parse_line(line: str) -> LogRecord:
         raise SandboxError(f"malformed log line: {line!r}")
     args_text = match.group("args")
     args = tuple(part for part in args_text.split(",") if part) if args_text else ()
-    return LogRecord(
-        api=match.group("api"),
-        address=int(match.group("address"), 16),
-        args=args,
-        thread_id=int(match.group("thread")),
-    )
+    return LogRecord(match.group("api"), int(match.group("address"), 16),
+                     args, int(match.group("thread")))
 
 
 @dataclass

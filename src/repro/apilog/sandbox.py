@@ -213,9 +213,8 @@ class Sandbox:
         def _emit(api: str, count: int, thread_id: int, base: int) -> None:
             for _ in range(count):
                 address = base + int(rng.integers(0x100, 0xFFFF))
-                log.append(LogRecord(api=api, address=address,
-                                     args=self._render_args(api, rng),
-                                     thread_id=thread_id))
+                log.append(LogRecord(api, address, self._render_args(api, rng),
+                                     thread_id))
 
         preamble_calls = 0
         for api, count in preamble_counts.items():

@@ -3,18 +3,15 @@
 from __future__ import annotations
 
 from itertools import chain
-from operator import attrgetter
-from typing import Iterable, List, Mapping, Tuple, Union
+from typing import Iterable, List, Mapping, Union
 
 import numpy as np
 
 from repro.apilog.api_catalog import ApiCatalog, default_catalog
-from repro.apilog.log_format import ApiLog
+from repro.apilog.log_format import ApiLog, api_code_names, api_codes
 from repro.exceptions import ShapeError
 
 CountSource = Union[ApiLog, Mapping[str, int]]
-
-_api_of = attrgetter("api")
 
 
 class _ColumnLookup(dict):
@@ -45,13 +42,16 @@ class CountExtractor:
     is ignored, exactly as an instrumentation-based monitor only records the
     hooked APIs.
 
-    Extraction is bulk: :meth:`extract_batch` maps every API call of every
-    log through one raw-name → column lookup and counts the whole batch with
-    one ``np.bincount`` (mappings contribute their counts as weights).  The
-    lookup is seeded with the catalog's lower-case names; an unmonitored
-    name maps to a sink column ``n_features`` that is dropped from the
-    result.  Any other spelling is resolved case-insensitively on every call
-    and never stored, so hostile logs cannot grow the lookup.
+    Extraction is bulk: :meth:`extract_batch` counts a whole micro-batch
+    with one ``np.bincount``.  A log's calls enter as the interned codes
+    their records carry (see :mod:`repro.apilog.log_format`), gathered
+    through a code → column table; a mapping's names go through a raw-name
+    → column lookup and contribute their counts as weights.  Unmonitored
+    calls land in a sink column ``n_features`` that is dropped from the
+    result.  A call whose name has no code (``-1``) resolves by name only
+    when the catalog monitors names outside the code space; name lookups
+    resolve unseeded spellings case-insensitively and never store them, so
+    hostile logs cannot grow either table.
 
     Parameters
     ----------
@@ -62,6 +62,12 @@ class CountExtractor:
     def __init__(self, catalog: ApiCatalog | None = None) -> None:
         self.catalog = catalog if catalog is not None else default_catalog()
         self._columns = _ColumnLookup(self.catalog)
+        code_names = api_code_names()
+        # Code -> column; the extra last entry is what code -1 gathers.
+        self._column_of_code = np.array(
+            [self._columns[name] for name in code_names] + [self._columns.sink],
+            dtype=np.intp)
+        self._names_outside_codes = not set(self._columns) <= set(code_names)
 
     @property
     def n_features(self) -> int:
@@ -90,39 +96,49 @@ class CountExtractor:
         row rather than an error (the detector simply observes nothing).
         """
         column_of = self._columns.__getitem__
-        columns: List[Iterable[int]] = []
-        lengths: List[int] = []
-        weighted: List[Tuple[int, np.ndarray]] = []
-        n_ids = 0
+        logs: List[list] = []
+        log_rows: List[int] = []
+        mappings: List[Mapping[str, int]] = []
+        mapping_rows: List[int] = []
+        weights: List[np.ndarray] = []
+        n_rows = 0
         for source in sources:
             if isinstance(source, ApiLog):
-                names = map(_api_of, source.records)
-                length = len(source.records)
+                logs.append(source.records)
+                log_rows.append(n_rows)
             elif isinstance(source, Mapping):
                 counts = np.fromiter(source.values(), dtype=np.float64, count=len(source))
                 if (counts < 0).any():
                     api = list(source)[int(np.argmax(counts < 0))]
                     raise ShapeError(f"negative count for API {api!r}")
-                weighted.append((n_ids, counts))
-                names = iter(source)
-                length = len(counts)
+                mappings.append(source)
+                mapping_rows.append(n_rows)
+                weights.append(counts)
             else:
                 raise ShapeError(
                     "expected an ApiLog or a mapping of api->count, "
                     f"got {type(source).__name__}")
-            columns.append(map(column_of, names))
-            lengths.append(length)
-            n_ids += length
-        n_rows = len(lengths)
+            n_rows += 1
         width = self.n_features + 1
-        ids = np.fromiter(chain.from_iterable(columns), dtype=np.intp, count=n_ids)
-        ids += np.repeat(np.arange(n_rows, dtype=np.intp) * width, lengths)
-        weights = None
-        if weighted:
-            weights = np.ones(n_ids, dtype=np.float64)
-            for start, counts in weighted:
-                weights[start:start + len(counts)] = counts
-        raw = np.bincount(ids, weights=weights, minlength=n_rows * width)
+        lengths = list(map(len, logs))
+        codes = api_codes(chain.from_iterable(logs), sum(lengths))
+        ids = self._column_of_code[codes]
+        if self._names_outside_codes:
+            uncoded = np.flatnonzero(codes < 0).tolist()
+            if uncoded:
+                calls = list(chain.from_iterable(logs))
+                ids[uncoded] = [column_of(calls[i].api) for i in uncoded]
+        ids += np.repeat(np.asarray(log_rows, dtype=np.intp) * width, lengths)
+        weight = None
+        if mappings:
+            lengths = list(map(len, mappings))
+            mapping_ids = np.fromiter(map(column_of, chain.from_iterable(mappings)),
+                                      dtype=np.intp, count=sum(lengths))
+            mapping_ids += np.repeat(np.asarray(mapping_rows, dtype=np.intp) * width,
+                                     lengths)
+            weight = np.concatenate([np.ones(ids.size), *weights])
+            ids = np.concatenate([ids, mapping_ids])
+        raw = np.bincount(ids, weights=weight, minlength=n_rows * width)
         return np.ascontiguousarray(raw.reshape(n_rows, width)[:, :-1], dtype=np.float64)
 
     def monitored_fraction(self, source: CountSource) -> float:

@@ -25,8 +25,8 @@ triples.  Closed-loop streams are cut into chunks of
 :func:`chunk_size` requests so one pickle, one queue hop and one claim cover
 many requests; paced streams send each request as it falls due, in a chunk
 of one.  A raw :class:`~repro.apilog.ApiLog` payload travels as its
-API-count mapping (:func:`wire_counts`): the multiset of raw call names is
-all featurisation reads, it featurises to the same row bit for bit, and it
+API-count mapping (:func:`wire_counts`), one bincount of its records'
+interned API codes: it featurises to the same row bit for bit, and it
 pickles to a fraction of the log's records.
 
 Supervision
@@ -55,7 +55,6 @@ import math
 import os
 import queue as queue_module
 import time
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict as dataclass_asdict
 from dataclasses import replace as dataclass_replace
@@ -66,6 +65,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.apilog import ApiLog
+from repro.apilog.log_format import api_code_names, api_codes
 from repro.config import ScaleProfile, get_profile
 from repro.exceptions import ParallelError
 from repro.experiments.context import ExperimentContext
@@ -151,17 +151,26 @@ def _build_detector(config: Mapping[str, object], context: ExperimentContext,
                          model=servable.model)
 
 
-def wire_counts(log: ApiLog) -> Counter:
+def wire_counts(log: ApiLog) -> Dict[str, int]:
     """The form a log payload travels in on the task queue.
 
-    The count of each *raw* API name in the log's records: the exact name
-    sequence :meth:`~repro.features.extraction.CountExtractor.extract_batch`
-    reads from a log, so the mapping featurises to the same row bit for bit
-    (case variants and unmonitored names included).  It is deliberately not
-    :meth:`ApiLog.api_counts`, which lower-cases every name first and so
-    costs about twice as much per log.
+    One bincount over the records' interned codes: a coded call counts
+    under its canonical lower-case name, a ``-1`` call under its raw name.
+    Featurisation resolves a name case-insensitively, so the mapping
+    featurises to the same row as the log bit for bit, case variants and
+    unmonitored names included.
     """
-    return Counter(record.api for record in log.records)
+    records = log.records
+    counts = np.bincount(api_codes(records, len(records)) + 1, minlength=1)
+    known = np.flatnonzero(counts[1:])
+    names = api_code_names()
+    wire = dict(zip(map(names.__getitem__, known.tolist()),
+                    counts[known + 1].tolist()))
+    if counts[0]:
+        for record in records:
+            if record.code < 0:
+                wire[record.api] = wire.get(record.api, 0) + 1
+    return wire
 
 
 def chunk_size(n_requests: int, max_batch_size: int, n_workers: int) -> int:

@@ -152,18 +152,25 @@ def _run_cell(task: Tuple[int, ScenarioSpec, int]):
     fault spec can target a specific attempt (``where={"cell": 2,
     "attempt": 0}``) — hit counters are per-process, so the attempt number
     is the only trigger that stays deterministic across pool workers.
+    Returns ``(index, outcome, fired)``: ``fired`` holds the per-site
+    faults this attempt fired, drained from the worker's injector so the
+    supervisor counts each one once.
     """
     from repro.scenarios.runner import run_scenario
 
     index, spec, attempt = task
+    injector = _WORKER.get("injector")
     try:
-        maybe_fire(_WORKER.get("injector"), "grid.cell",
-                   cell=index, attempt=attempt)
-        return index, run_scenario(spec, context=_worker_context(spec))
+        maybe_fire(injector, "grid.cell", cell=index, attempt=attempt)
+        outcome = run_scenario(spec, context=_worker_context(spec))
     except BaseException as error:  # noqa: BLE001 - shipped to the parent
-        return index, RemoteFailure.capture(
+        outcome = RemoteFailure.capture(
             where=f"cell {index} ({spec.label or spec.describe()}, "
                   f"attempt {attempt})", error=error)
+    fired: Dict[str, int] = {}
+    if injector is not None:
+        fired, injector.fired = injector.fired, {}
+    return index, outcome, fired
 
 
 @dataclass
@@ -468,8 +475,10 @@ class GridExecutor:
 
         A failed attempt is rescheduled after the policy's backoff; an
         attempt past ``shard_timeout_s`` is abandoned (a pool worker cannot
-        be killed mid-task, so the stale attempt's eventual result is
-        simply dropped) and rescheduled the same way.  The first cell to
+        be killed mid-task, so the stale attempt's eventual result, and
+        the faults it fired, are simply dropped) and rescheduled the same
+        way.  Every collected attempt's fired faults are counted into
+        ``obs``, as the serial path counts its own.  The first cell to
         exhaust its attempts raises.
         """
         max_retries = self.retry_policy.max_retries
@@ -511,7 +520,8 @@ class GridExecutor:
                 if async_result.ready():
                     del inflight[cell]
                     deadlines.pop(cell, None)
-                    _, outcome = async_result.get()
+                    _, outcome, fired = async_result.get()
+                    record_faults(obs, fired)
                     if isinstance(outcome, RemoteFailure):
                         reschedule(cell, outcome)
                     else:

@@ -259,6 +259,23 @@ class TestChaosGrid:
                [r.to_json(include_timing=False) for r in clean.reports]
         assert chaotic.reliability.cell_retries == 1
 
+    def test_pool_reports_the_serial_runs_fault_counts(self, tiny_context):
+        # Pool workers ship each attempt's fired faults home with its
+        # outcome, so a pooled grid counts the same faults as a serial one.
+        plan = FaultPlan(specs=(
+            FaultSpec(site="grid.cell", action="error",
+                      where={"cell": 1, "attempt": 0}),))
+        results = [GridExecutor(
+            n_workers=workers, retries=1,
+            retry_policy=RetryPolicy(max_retries=1, base_delay_s=0.01),
+            fault_plan=plan).run(self._specs(), context=tiny_context)
+            for workers in (1, 2)]
+        serial, pooled = results
+        assert pooled.n_workers == 2
+        assert serial.reliability.faults == {"grid.cell": 1}
+        assert pooled.reliability.faults == serial.reliability.faults
+        assert pooled.reliability.as_dict() == serial.reliability.as_dict()
+
     def test_shard_timeout_abandons_and_redispatches(self, tiny_context):
         specs = self._specs()
         clean = GridExecutor(n_workers=1).run(specs, context=tiny_context)
